@@ -41,7 +41,7 @@ type ExplainReplica struct {
 	Rank    int // optimizer preference, 1 = best; 0 = unranked (down/omitted)
 	Breaker string
 	Health  float64
-	Pending int    // journaled write intents awaiting replay here
+	Pending int // journaled write intents awaiting replay here
 	EstRows int
 	Push    string // advertised pushdown capabilities ("full", "none", "σ(eq) π", …)
 }

@@ -3,7 +3,10 @@ package federation
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,11 +53,11 @@ func pushdownRegimes(t *testing.T) map[string]*Federation {
 func applyMixedCaps(t *testing.T, fed *Federation) {
 	t.Helper()
 	overrides := map[string]*plan.PushCaps{
-		"h0-0": {Classes: []plan.FilterClass{plan.ClassEq}},      // eq-only, no π, no limit
-		"h1-0": {},                                               // nothing pushable
-		"h1-1": nil,                                              // full (default)
+		"h0-0": {Classes: []plan.FilterClass{plan.ClassEq}}, // eq-only, no π, no limit
+		"h1-0": {},                                          // nothing pushable
+		"h1-1": nil,                                         // full (default)
 		"h2-0": {Classes: []plan.FilterClass{plan.ClassRange, plan.ClassLike, plan.ClassNull}, Project: true},
-		"h3-0": {Project: true, Limit: true},                     // π and limit but no σ
+		"h3-0": {Project: true, Limit: true},                        // π and limit but no σ
 		"h3-1": {Classes: plan.FullPushCaps().Classes, Limit: true}, // σ and limit but no π
 	}
 	for name, caps := range overrides {
@@ -138,6 +141,86 @@ func TestPushdownDifferentialModes(t *testing.T) {
 	feds := pushdownRegimes(t)
 	for _, q := range workload.HotelSelects(650, 20250809) {
 		checkPushdownDifferential(t, feds, q)
+	}
+}
+
+// remoteHotelsFed is hotelsFed with every site behind its own HTTP
+// server. Site h1-0 is an old server (DisablePushdown: no push
+// capabilities, NDJSON only); the others negotiate binary frames, so
+// one query's fragments arrive in both wire codecs. codecs counts the
+// /fetchstream responses served per Content-Type.
+func remoteHotelsFed(t *testing.T, codecs *sync.Map) *Federation {
+	t.Helper()
+	fed := New(NewAgoric())
+	chains := workload.Hotels(8, 10, 4242)
+	var frags []*Fragment
+	for f := 0; f < 4; f++ {
+		tbl := storage.NewTable(workload.HotelsDef().Clone("hotels"))
+		for _, h := range append(chains[2*f], chains[2*f+1]...) {
+			if _, err := tbl.Insert(workload.HotelRow(h)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sites []*Site
+		for r := 0; r <= f%2; r++ {
+			srv := remote.NewServer()
+			srv.DisablePushdown = f == 1 && r == 0
+			srv.PublishTable(tbl)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				srv.ServeHTTP(w, req)
+				if req.URL.Path == "/fetchstream" {
+					n, _ := codecs.LoadOrStore(w.Header().Get("Content-Type"), new(atomic.Int64))
+					n.(*atomic.Int64).Add(1)
+				}
+			}))
+			t.Cleanup(ts.Close)
+			sources, err := remote.Dial(ts.URL, "").Tables(context.Background())
+			if err != nil || len(sources) != 1 {
+				t.Fatalf("tables: %v (%d sources)", err, len(sources))
+			}
+			s := NewSite(fmt.Sprintf("h%d-%d", f, r))
+			if err := fed.AddSite(s); err != nil {
+				t.Fatal(err)
+			}
+			s.AddSource(sources[0])
+			sites = append(sites, s)
+		}
+		pred, err := sqlparse.ParseExpr(fmt.Sprintf(
+			"chain IN ('chain-%02d', 'chain-%02d')", 2*f, 2*f+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frags = append(frags, NewFragment(fmt.Sprintf("f%d", f), pred, sites...))
+	}
+	if _, err := fed.DefineTable(workload.HotelsDef(), frags...); err != nil {
+		t.Fatal(err)
+	}
+	return fed
+}
+
+// TestPushdownDifferentialMixedWire runs the three-regime harness over
+// HTTP sites where an old NDJSON-only server and binary-frame servers
+// serve the same queries: the wire codec must not change a result.
+func TestPushdownDifferentialMixedWire(t *testing.T) {
+	var codecs sync.Map
+	feds := map[string]*Federation{}
+	for _, name := range []string{"on", "off", "mixed"} {
+		fed := remoteHotelsFed(t, &codecs)
+		switch name {
+		case "off":
+			fed.DisablePredicatePushdown = true
+		case "mixed":
+			applyMixedCaps(t, fed)
+		}
+		feds[name] = fed
+	}
+	for _, q := range workload.HotelSelects(650, 20250809) {
+		checkPushdownDifferential(t, feds, q)
+	}
+	for _, ct := range []string{"application/x-ndjson", "application/x-cohera-frames"} {
+		if n, ok := codecs.Load(ct); !ok || n.(*atomic.Int64).Load() == 0 {
+			t.Errorf("no /fetchstream response served as %s", ct)
+		}
 	}
 }
 

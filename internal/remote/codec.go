@@ -3,8 +3,12 @@
 // fetch), and the client side presents each remote table as a
 // wrapper.Source with equality pushdown, so a federation can span
 // processes and machines exactly the way the paper's cross-enterprise
-// setting demands. The wire format is JSON with kind-tagged values so
-// money, durations and timestamps survive the trip.
+// setting demands. Requests and one-shot responses are JSON with
+// kind-tagged values so money, durations and timestamps survive the
+// trip. Row streams (POST /fetchstream) travel as length-prefixed
+// binary frames carrying rows in the value package's binary row codec
+// when both ends know it, and as NDJSON otherwise; stream.go documents
+// the frame layout and the negotiation.
 package remote
 
 import (
@@ -163,7 +167,7 @@ func decodePushCaps(w *wirePushCaps) plan.PushCaps {
 }
 
 // wirePushedAck is the server's receipt for pushed σ/π/limit, sent as
-// the first NDJSON chunk of a /fetchstream response when the request
+// the first chunk of a /fetchstream response when the request
 // carried push fields. Its absence is the old-server signal: the client
 // then assumes nothing was applied and re-evaluates locally.
 type wirePushedAck struct {

@@ -41,7 +41,7 @@ var metServerSeconds = obs.Default().Histogram("cohera_remote_server_seconds",
 //
 //	GET  /tables             → JSON list of wireSchema
 //	POST /fetch              → {table, filters[]} → {rows}
-//	POST /fetchstream        → {table, filters[], batch_rows} → NDJSON chunks
+//	POST /fetchstream        → {table, filters[], batch_rows, codec} → binary frames or NDJSON chunks
 //	POST /digest             → {table} → {hash, rows} content digest
 //	GET  /debug/replication  → per-table digests for operator comparison
 //	GET  /healthz            → 200 ok
@@ -58,10 +58,11 @@ type Server struct {
 	// Like Token it must be set before serving.
 	StreamBatchRows int
 	// DisablePushdown makes the server behave like one that predates
-	// capability-aware pushdown: /tables advertises no push capabilities
-	// and /fetchstream ignores the where/cols/limit request fields and
-	// sends no ack. Compatibility-fallback tests flip it; like Token it
-	// must be set before serving.
+	// capability-aware pushdown and binary frames: /tables advertises no
+	// push capabilities and /fetchstream ignores the where/cols/limit
+	// and codec request fields, sends no ack and answers in NDJSON.
+	// Compatibility-fallback tests flip it; like Token it must be set
+	// before serving.
 	DisablePushdown bool
 	// Admission, when set, gates the data-plane endpoints (/fetch and
 	// /fetchstream): requests past the site's capacity are refused with

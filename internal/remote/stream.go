@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"cohera/internal/schema"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
+	"cohera/internal/value"
 	"cohera/internal/wrapper"
 )
 
@@ -41,9 +43,21 @@ func streamProjection(have, want []string) ([]int, error) {
 	return idx, nil
 }
 
-// The chunked-transfer wire format: POST /fetchstream answers with
-// newline-delimited JSON (NDJSON). Each line is one streamChunk — a
-// batch of rows, a mid-stream error, or the {"eof":true} terminator.
+// The chunked-transfer wire format: POST /fetchstream answers with a
+// sequence of chunks — a pushdown ack, a batch of rows, a mid-stream
+// error, or the eof terminator — in one of two codecs:
+//
+//   - Binary frames (Content-Type application/x-cohera-frames), sent
+//     when the request names codec "frames/1". Each frame is a type byte
+//     ('A' ack, 'R' rows, 'E' error, 'Z' eof), a 4-byte big-endian
+//     payload length, then the payload: for rows a uvarint row count
+//     followed by rows in value.AppendRow form; for an ack its JSON
+//     record; for an error the message text; for eof nothing.
+//   - Newline-delimited JSON (NDJSON), one streamChunk per line, for a
+//     request without a codec or with a codec the server does not know,
+//     and from servers that predate frames. The client picks its decoder
+//     from the response Content-Type, so nothing needs configuring.
+//
 // The terminator is load-bearing: a connection that dies mid-transfer
 // ends the body without it, and the client reports ErrTruncated instead
 // of passing off a prefix as the full result.
@@ -53,18 +67,38 @@ func streamProjection(have, want []string) ([]int, error) {
 // the rows received so far as incomplete.
 var ErrTruncated = errors.New("remote: stream truncated before eof terminator")
 
-// maxStreamLine bounds one NDJSON line on the client. A line carries at
-// most maxStreamBatchRows encoded rows.
+// maxStreamLine bounds one NDJSON line or one frame payload on the
+// client. A chunk carries at most maxStreamBatchRows encoded rows.
 const maxStreamLine = 64 << 20
 
 // maxStreamBatchRows caps the negotiated batch size so a hostile client
 // cannot make the server buffer unbounded rows per chunk.
 const maxStreamBatchRows = 8192
 
+// streamCodecFrames names the binary frame codec in streamRequest.Codec.
+const streamCodecFrames = "frames/1"
+
+// Response content types; the client decodes by them.
+const (
+	framesContentType = "application/x-cohera-frames"
+	ndjsonContentType = "application/x-ndjson"
+)
+
+// Frame types of the binary codec.
+const (
+	frameAck  byte = 'A'
+	frameRows byte = 'R'
+	frameErr  byte = 'E'
+	frameEOF  byte = 'Z'
+)
+
+// frameHeaderLen is the type byte plus the uint32 payload length.
+const frameHeaderLen = 5
+
 // streamRequest is the body of POST /fetchstream. The pushdown fields
-// (where/cols/limit) are ignored by servers that predate them — JSON
-// decoding drops unknown fields — and the missing first-chunk ack tells
-// the client nothing was applied.
+// (where/cols/limit) and the codec are ignored by servers that predate
+// them — JSON decoding drops unknown fields — and the missing first-chunk
+// ack or the NDJSON Content-Type tells the client what it got.
 type streamRequest struct {
 	Table   string       `json:"table"`
 	Filters []wireFilter `json:"filters,omitempty"`
@@ -78,6 +112,9 @@ type streamRequest struct {
 	Cols []string `json:"cols,omitempty"`
 	// Limit caps delivered rows; <= 0 means no limit.
 	Limit int `json:"limit,omitempty"`
+	// Codec asks for a response codec; only streamCodecFrames is known.
+	// Empty or unknown gets NDJSON.
+	Codec string `json:"codec,omitempty"`
 }
 
 // streamChunk is one NDJSON line of a /fetchstream response. A chunk
@@ -90,7 +127,202 @@ type streamChunk struct {
 	EOF    bool           `json:"eof,omitempty"`
 }
 
-// metStreamBatches counts NDJSON chunks by side ("server" encodes,
+// chunk is one decoded unit of a /fetchstream response, whichever codec
+// carried it.
+type chunk struct {
+	rows   []storage.Row
+	pushed *wirePushedAck
+	err    string
+	eof    bool
+}
+
+// chunkEncoder writes chunks in one wire codec.
+type chunkEncoder interface {
+	encode(chunk) error
+}
+
+// ndjsonEncoder writes one JSON line per chunk.
+type ndjsonEncoder struct{ enc *json.Encoder }
+
+func (e ndjsonEncoder) encode(c chunk) error {
+	return e.enc.Encode(streamChunk{Rows: encodeRows(c.rows), Pushed: c.pushed, Error: c.err, EOF: c.eof})
+}
+
+// frameEncoder writes one binary frame per chunk, each with a single
+// Write, reusing its buffer across frames.
+type frameEncoder struct {
+	w   io.Writer
+	buf []byte
+}
+
+func (e *frameEncoder) encode(c chunk) error {
+	b := append(e.buf[:0], make([]byte, frameHeaderLen)...)
+	switch {
+	case c.pushed != nil:
+		b[0] = frameAck
+		ack, err := json.Marshal(c.pushed)
+		if err != nil {
+			return err
+		}
+		b = append(b, ack...)
+	case c.err != "":
+		b[0] = frameErr
+		b = append(b, c.err...)
+	case c.eof:
+		b[0] = frameEOF
+	default:
+		b[0] = frameRows
+		b = binary.AppendUvarint(b, uint64(len(c.rows)))
+		for _, r := range c.rows {
+			b = value.AppendRow(b, r)
+		}
+	}
+	binary.BigEndian.PutUint32(b[1:frameHeaderLen], uint32(len(b)-frameHeaderLen))
+	e.buf = b
+	_, err := e.w.Write(b)
+	return err
+}
+
+// chunkDecoder reads the next chunk in one wire codec, returning the
+// bytes it took on the wire. A body that ends before the eof terminator
+// is an error wrapping ErrTruncated.
+type chunkDecoder interface {
+	decode() (chunk, int, error)
+}
+
+// newChunkDecoder picks the decoder for a response's Content-Type:
+// frames when the server confirmed them, NDJSON for everything else —
+// an old server labels its NDJSON, or labels nothing at all.
+func newChunkDecoder(body io.Reader, contentType string) chunkDecoder {
+	if contentType == framesContentType {
+		return &frameDecoder{r: bufio.NewReaderSize(body, 64<<10)}
+	}
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
+	return ndjsonDecoder{sc: sc}
+}
+
+// ndjsonDecoder reads one JSON line per chunk, skipping blank lines.
+type ndjsonDecoder struct{ sc *bufio.Scanner }
+
+func (d ndjsonDecoder) decode() (chunk, int, error) {
+	for {
+		if !d.sc.Scan() {
+			if err := d.sc.Err(); err != nil {
+				return chunk{}, 0, fmt.Errorf("%w: %v", ErrTruncated, err)
+			}
+			return chunk{}, 0, ErrTruncated
+		}
+		raw := d.sc.Bytes()
+		line := bytes.TrimSpace(raw)
+		if len(line) == 0 {
+			continue
+		}
+		var sc streamChunk
+		if err := json.Unmarshal(line, &sc); err != nil {
+			if !d.sc.Scan() {
+				// An undecodable final line is a connection cut
+				// mid-chunk, not corruption: classify it as truncation
+				// so callers see one typed error for "body ended early".
+				return chunk{}, 0, fmt.Errorf("%w: partial final chunk: %v", ErrTruncated, err)
+			}
+			return chunk{}, 0, fmt.Errorf("remote: decoding stream chunk: %w", err)
+		}
+		rows, err := decodeRows(sc.Rows)
+		if err != nil {
+			return chunk{}, 0, err
+		}
+		// The scanner strips the newline the server wrote; count it so
+		// both sides tally the same bytes.
+		return chunk{rows: rows, pushed: sc.Pushed, err: sc.Error, eof: sc.EOF}, len(raw) + 1, nil
+	}
+}
+
+// frameDecoder reads binary frames. The payload buffer grows only as
+// payload bytes actually arrive, so a header claiming a huge length on
+// a short body costs nothing.
+type frameDecoder struct {
+	r       *bufio.Reader
+	payload bytes.Buffer
+}
+
+func (d *frameDecoder) decode() (chunk, int, error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
+		return chunk{}, 0, truncation(err)
+	}
+	n := binary.BigEndian.Uint32(hdr[1:])
+	if n > maxStreamLine {
+		return chunk{}, 0, fmt.Errorf("remote: stream frame of %d bytes exceeds %d", n, maxStreamLine)
+	}
+	d.payload.Reset()
+	if got, err := io.CopyN(&d.payload, d.r, int64(n)); got < int64(n) {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return chunk{}, 0, truncation(err)
+	}
+	p, size := d.payload.Bytes(), frameHeaderLen+int(n)
+	switch hdr[0] {
+	case frameRows:
+		rows, err := decodeRowsFrame(p)
+		return chunk{rows: rows}, size, err
+	case frameAck:
+		var ack wirePushedAck
+		if err := json.Unmarshal(p, &ack); err != nil {
+			return chunk{}, 0, fmt.Errorf("remote: decoding ack frame: %w", err)
+		}
+		return chunk{pushed: &ack}, size, nil
+	case frameErr:
+		// An empty message must still read as a failure, not as rows.
+		msg := string(p)
+		if msg == "" {
+			msg = "unspecified error"
+		}
+		return chunk{err: msg}, size, nil
+	case frameEOF:
+		if n != 0 {
+			return chunk{}, 0, fmt.Errorf("remote: eof frame carries %d payload bytes", n)
+		}
+		return chunk{eof: true}, size, nil
+	default:
+		return chunk{}, 0, fmt.Errorf("remote: unknown stream frame type %#x", hdr[0])
+	}
+}
+
+// truncation classifies a read failure inside a frame: the body ended,
+// or the transport broke, before the eof frame.
+func truncation(err error) error {
+	if err == io.EOF {
+		return ErrTruncated
+	}
+	return fmt.Errorf("%w: %v", ErrTruncated, err)
+}
+
+// decodeRowsFrame decodes a rows frame payload. The row count is
+// checked against the batch cap and the bytes left before anything is
+// allocated for it.
+func decodeRowsFrame(p []byte) ([]storage.Row, error) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > maxStreamBatchRows || n > uint64(len(p)-k) {
+		return nil, errors.New("remote: rows frame has a bad row count")
+	}
+	p = p[k:]
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		r, rest, err := value.DecodeRow(p)
+		if err != nil {
+			return nil, fmt.Errorf("remote: rows frame row %d: %w", i, err)
+		}
+		rows[i], p = r, rest
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("remote: rows frame has %d trailing bytes", len(p))
+	}
+	return rows, nil
+}
+
+// metStreamBatches counts row chunks by side ("server" encodes,
 // "client" decodes).
 func metStreamBatches(side string) *obs.Counter {
 	return obs.Default().Counter("cohera_stream_batches_total",
@@ -98,7 +330,8 @@ func metStreamBatches(side string) *obs.Counter {
 		obs.Labels{"side": side})
 }
 
-// metStreamBytes counts NDJSON payload bytes by side.
+// metStreamBytes counts stream wire bytes by side: every chunk, frame
+// header plus payload or line plus newline.
 func metStreamBytes(side string) *obs.Counter {
 	return obs.Default().Counter("cohera_stream_bytes_total",
 		"Payload bytes moved through the streaming wire protocol.",
@@ -148,8 +381,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handleFetchStream streams a source's rows as NDJSON chunks. Each
-// chunk is flushed as soon as it is full, so a slow consumer exerts
+// handleFetchStream streams a source's rows as chunks, in binary frames
+// when the client asked for them and NDJSON otherwise. Each chunk is
+// flushed as soon as it is full, so a slow consumer exerts
 // backpressure on the producing scan through the socket's window
 // instead of forcing the server to buffer the whole result.
 func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
@@ -186,10 +420,13 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 	// Capability-aware pushdown: parse the request's σ/π/limit, hand it
 	// to the source, and fuse whatever the source could not apply right
 	// here — rows failing the pushed WHERE are never encoded. With
-	// DisablePushdown set the fields are ignored and no ack is sent,
-	// reproducing an old server for fallback tests.
+	// DisablePushdown set the fields and the codec are ignored, no ack
+	// is sent and rows go out as NDJSON, reproducing an old server for
+	// fallback tests.
 	var push wrapper.Pushdown
+	frames := false
 	if !s.DisablePushdown {
+		frames = req.Codec == streamCodecFrames
 		if req.Where != "" {
 			expr, perr := sqlparse.ParseExpr(req.Where)
 			if perr != nil {
@@ -259,21 +496,28 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 	scan := storage.InstrumentStream(st, encStage, storage.TimingSample)
 	defer scan.Close()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	cw := &countingWriter{w: w}
 	defer func() { metStreamBytes("server").Add(cw.n) }()
-	enc := json.NewEncoder(cw)
+	var enc chunkEncoder = ndjsonEncoder{enc: json.NewEncoder(cw)}
+	if frames {
+		w.Header().Set("Content-Type", framesContentType)
+		enc = &frameEncoder{w: cw}
+	} else {
+		w.Header().Set("Content-Type", ndjsonContentType)
+	}
 	flusher, _ := w.(http.Flusher)
-	// The ack must be the first line: the client reads it synchronously
+	// The ack must be the first chunk: the client reads it synchronously
 	// to learn what was applied before it sees any rows.
 	if ack != nil {
-		if err := enc.Encode(streamChunk{Pushed: ack}); err != nil {
+		if err := enc.encode(chunk{pushed: ack}); err != nil {
 			return
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+	// The encode stage counts row chunks only, as the decode stage does.
+	sentBytes := cw.n
 	peak := 0
 	defer func() {
 		encStage.NotePeak(int64(peak))
@@ -284,7 +528,6 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 
 	batch := storage.GetBatch()
 	defer storage.PutBatch(batch)
-	var sentBytes int64
 	emit := func() bool {
 		if len(batch.Rows) == 0 {
 			return true
@@ -292,8 +535,7 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 		if len(batch.Rows) > peak {
 			peak = len(batch.Rows)
 		}
-		// Encode writes the chunk plus the NDJSON newline.
-		if err := enc.Encode(streamChunk{Rows: encodeRows(batch.Rows)}); err != nil {
+		if err := enc.encode(chunk{rows: batch.Rows}); err != nil {
 			return false // consumer went away; stop producing
 		}
 		metStreamBatches("server").Inc()
@@ -312,7 +554,7 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			//lint:ignore errdrop the stream is already committed as 200; a failed terminator reads as truncation on the client
-			_ = enc.Encode(streamChunk{EOF: true})
+			_ = enc.encode(chunk{eof: true})
 			metStreamPeakBatch.Observe(time.Duration(peak))
 			if flusher != nil {
 				flusher.Flush()
@@ -324,7 +566,7 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 			// the result is broken, so a partial flush would only move
 			// rows it must discard.
 			//lint:ignore errdrop the stream is already committed as 200; the error chunk is best-effort
-			_ = enc.Encode(streamChunk{Error: err.Error()})
+			_ = enc.encode(chunk{err: err.Error()})
 			return
 		}
 		batch.Rows = append(batch.Rows, row)
@@ -357,7 +599,7 @@ func (s *Source) FetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
 	ctx, sp := obs.StartSpan(ctx, "remote.fetchstream")
 	sp.Set("table", s.def.Name)
-	req := streamRequest{Table: s.def.Name, BatchRows: s.client.streamBatch}
+	req := streamRequest{Table: s.def.Name, BatchRows: s.client.streamBatch, Codec: streamCodecFrames}
 	if push.Where != nil {
 		req.Where = push.Where.String()
 	}
@@ -424,8 +666,6 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 		sp.End()
 		return nil, wrapper.Applied{}, se
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 	metStreamInflight("client").Add(1)
 	// The decode stage is a leaf under the wrapper.fetch stage: rows and
 	// bytes are counted per chunk as they come off the wire, before the
@@ -436,14 +676,14 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 		cols:    wrapper.ColumnNames(s.def),
 		filters: local,
 		body:    resp.Body,
-		sc:      sc,
+		dec:     newChunkDecoder(resp.Body, resp.Header.Get("Content-Type")),
 		sp:      sp,
 		stage:   stage,
 	}
 	cs.rebindFilters()
 	var applied wrapper.Applied
 	if !push.Empty() {
-		// Read the first line now: a push-aware server leads with its
+		// Read the first chunk now: a push-aware server leads with its
 		// ack, an old server leads with rows (stashed for Next). Either
 		// way the receipt is known before the caller sees the stream.
 		if ack := cs.awaitAck(); ack != nil {
@@ -463,8 +703,8 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 	return cs, applied, nil
 }
 
-// clientStream decodes NDJSON chunks from an open /fetchstream response
-// into rows, one chunk in memory at a time.
+// clientStream decodes chunks from an open /fetchstream response into
+// rows, one chunk in memory at a time.
 type clientStream struct {
 	def     *schema.Table
 	cols    []string
@@ -473,14 +713,14 @@ type clientStream struct {
 	// -1 skips a filter whose column the rows no longer carry.
 	filterIdx []int
 	body      io.ReadCloser
-	sc        *bufio.Scanner
+	dec       chunkDecoder
 	sp        *obs.Span
 	stage     *obs.StageStats
 
 	// stash holds a chunk read ahead of its turn (the ack probe hit
-	// rows on an old server); stashLen is its line length for byte
+	// rows on an old server); stashLen is its wire size for byte
 	// accounting.
-	stash    *streamChunk
+	stash    *chunk
 	stashLen int
 
 	pending []storage.Row
@@ -508,59 +748,36 @@ func (c *clientStream) rebindFilters() {
 	}
 }
 
-// readChunk scans and decodes the next NDJSON line. ok=false means a
-// terminal condition was recorded in c.err (truncation or corruption);
-// empty lines are skipped.
-func (c *clientStream) readChunk() (chunk streamChunk, lineLen int, ok bool) {
-	for {
-		// Time the chunk fetch+decode exactly: chunks are coarse enough
-		// (hundreds of rows) that two clock reads per chunk are free, and
-		// the wait on sc.Scan is precisely this stage's blocked-upstream
-		// (network/server) time.
-		chunkStart := time.Now()
-		if !c.sc.Scan() {
-			// The body ended (or broke) before the eof terminator:
-			// report truncation, never a silent short result.
-			if scanErr := c.sc.Err(); scanErr != nil {
-				c.err = fmt.Errorf("%w: %v", ErrTruncated, scanErr)
-			} else {
-				c.err = ErrTruncated
-			}
-			return chunk, 0, false
-		}
-		line := bytes.TrimSpace(c.sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if err := json.Unmarshal(line, &chunk); err != nil {
-			if !c.sc.Scan() {
-				// An undecodable final line is a connection cut
-				// mid-chunk, not corruption: classify it as truncation
-				// so callers see one typed error for "body ended early".
-				c.err = fmt.Errorf("%w: partial final chunk: %v", ErrTruncated, err)
-				return chunk, 0, false
-			}
-			c.err = fmt.Errorf("remote: decoding stream chunk: %w", err)
-			return chunk, 0, false
-		}
-		metStreamBytes("client").Add(int64(len(line)))
-		c.stage.BlockedUpstream(time.Since(chunkStart))
-		return chunk, len(line), true
+// readChunk reads and decodes the next chunk. ok=false means a
+// terminal condition was recorded in c.err (truncation or corruption).
+func (c *clientStream) readChunk() (ch chunk, size int, ok bool) {
+	// Time the chunk fetch+decode exactly: chunks are coarse enough
+	// (hundreds of rows) that two clock reads per chunk are free, and
+	// the wait on the body is precisely this stage's blocked-upstream
+	// (network/server) time.
+	chunkStart := time.Now()
+	ch, size, err := c.dec.decode()
+	if err != nil {
+		c.err = err
+		return ch, 0, false
 	}
+	metStreamBytes("client").Add(int64(size))
+	c.stage.BlockedUpstream(time.Since(chunkStart))
+	return ch, size, true
 }
 
 // awaitAck reads the first chunk looking for a pushdown ack. A non-ack
 // chunk (old server) is stashed for Next; a read failure stays sticky
 // in c.err and surfaces on the first Next.
 func (c *clientStream) awaitAck() *wirePushedAck {
-	chunk, n, ok := c.readChunk()
+	ch, n, ok := c.readChunk()
 	if !ok {
 		return nil
 	}
-	if chunk.Pushed != nil {
-		return chunk.Pushed
+	if ch.pushed != nil {
+		return ch.pushed
 	}
-	c.stash, c.stashLen = &chunk, n
+	c.stash, c.stashLen = &ch, n
 	return nil
 }
 
@@ -578,35 +795,31 @@ func (c *clientStream) Next() (storage.Row, error) {
 		if c.err != nil {
 			return nil, c.err
 		}
-		var chunk streamChunk
-		var lineLen int
+		var ch chunk
+		var size int
 		if c.stash != nil {
-			chunk, lineLen = *c.stash, c.stashLen
+			ch, size = *c.stash, c.stashLen
 			c.stash = nil
 		} else {
 			var ok bool
-			chunk, lineLen, ok = c.readChunk()
+			ch, size, ok = c.readChunk()
 			if !ok {
 				return nil, c.err
 			}
 		}
-		if chunk.Error != "" {
-			c.err = fmt.Errorf("remote: stream failed at server: %s", chunk.Error)
+		if ch.err != "" {
+			c.err = fmt.Errorf("remote: stream failed at server: %s", ch.err)
 			return nil, c.err
 		}
-		if chunk.EOF {
+		if ch.eof {
 			c.err = io.EOF
 			return nil, c.err
 		}
-		if chunk.Pushed != nil && len(chunk.Rows) == 0 {
+		if ch.pushed != nil && len(ch.rows) == 0 {
 			// A stray ack chunk mid-stream carries no rows; skip it.
 			continue
 		}
-		rows, err := decodeRows(chunk.Rows)
-		if err != nil {
-			c.err = err
-			return nil, c.err
-		}
+		rows := ch.rows
 		// A row of the wrong width is wire corruption; letting it
 		// through would index-panic in the filter re-check or feed the
 		// evaluator garbage.
@@ -617,7 +830,7 @@ func (c *clientStream) Next() (storage.Row, error) {
 			}
 		}
 		metStreamBatches("client").Inc()
-		c.stage.AddBatch(int64(len(rows)), int64(lineLen))
+		c.stage.AddBatch(int64(len(rows)), int64(size))
 		c.stage.NotePeak(int64(len(rows)))
 		if len(rows) > c.peak {
 			c.peak = len(rows)

@@ -4,6 +4,8 @@
 # the first broken stage.
 #
 #   1. go build ./...            every package compiles
+#   1b. gofmt -l                 fails when any .go file outside the
+#                                hidden build/output dirs is unformatted
 #   2. go vet ./...              stock vet suite
 #   3. go run ./cmd/coheralint   project-specific analyzers (see
 #      ./...                     internal/analysis/doc.go), with
@@ -31,8 +33,9 @@
 #                                admitted p99 in SLO, no tenant
 #                                starved, shed-free recovery
 #   6. go test -race ./...       full tests under the race detector
-#   7. go test -fuzz ... 10s     fuzz smoke: parser, NDJSON stream
-#                                decoder, WAL replay, and the pushdown
+#   7. go test -fuzz ... 10s     fuzz smoke: parser, stream decoder
+#                                (NDJSON and binary frames), binary row
+#                                codec, WAL replay, and the pushdown
 #                                split oracle each survive a short run
 set -eu
 
@@ -40,6 +43,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l"
+unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -69,6 +80,7 @@ echo "==> fuzz smoke (10s per target)"
 go test -fuzz 'FuzzParse$' -fuzztime 10s ./internal/sqlparse/
 go test -fuzz FuzzParseExpr -fuzztime 10s ./internal/sqlparse/
 go test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/remote/
+go test -fuzz FuzzRowCodec -fuzztime 10s ./internal/value/
 go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
 

@@ -3,6 +3,8 @@ package cohera_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"cohera/internal/bench"
@@ -10,11 +12,13 @@ import (
 	"cohera/internal/federation"
 	"cohera/internal/ir"
 	"cohera/internal/mview"
+	"cohera/internal/plan"
 	"cohera/internal/schema"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 	"cohera/internal/value"
 	"cohera/internal/workload"
+	"cohera/internal/wrapper"
 )
 
 // One benchmark per experiment in DESIGN.md's index. Each runs the same
@@ -220,4 +224,116 @@ func BenchmarkMatviewRefresh(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- Layer ledger: per-row cost of the streaming layers ---
+
+// measurePerRow runs op b.N times and reports ns/row and allocs/row,
+// where each op yields rowsPerOp rows. Allocations are counted
+// process-wide, so producer goroutines are charged too.
+func measurePerRow(b *testing.B, rowsPerOp int, op func() int) {
+	b.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := op(); n != rowsPerOp {
+			b.Fatalf("op yielded %d rows, want %d", n, rowsPerOp)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * float64(rowsPerOp)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/row")
+}
+
+// drainStream counts a stream's rows and closes it.
+func drainStream(b *testing.B, st storage.RowStream) int {
+	b.Helper()
+	defer st.Close()
+	n := 0
+	for {
+		if _, err := st.Next(); err == io.EOF {
+			return n
+		} else if err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
+}
+
+// benchCatalog generates itemsEach catalog rows per supplier
+// (workload.GroundTruthRows), qty uniform in [0, 1000).
+func benchCatalog(b *testing.B, suppliers, itemsEach int) ([]workload.Supplier, [][]storage.Row) {
+	b.Helper()
+	sups := workload.Suppliers(suppliers, itemsEach, 0, 7)
+	out := make([][]storage.Row, len(sups))
+	for i, s := range sups {
+		rows, err := workload.GroundTruthRows(s, value.DefaultCurrencyTable())
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[i] = rows
+	}
+	return sups, out
+}
+
+// BenchmarkFuseStream is the "plan eval and FuseStream" layer: a fused
+// σ/π stage (qty >= 100, ~90% selective; 4 of 7 columns) over
+// in-memory catalog rows, binding included.
+func BenchmarkFuseStream(b *testing.B) {
+	_, rows := benchCatalog(b, 1, 4096)
+	cols := wrapper.ColumnNames(workload.CatalogDef())
+	where, err := sqlparse.ParseExpr("qty >= 100")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := plan.FuseSpec{Where: where, Project: []int{0, 1, 4, 6}, Limit: -1}
+	want := drainStream(b, plan.FuseStream(storage.NewSliceStream(cols, rows[0]), spec))
+	measurePerRow(b, want, func() int {
+		return drainStream(b, plan.FuseStream(storage.NewSliceStream(cols, rows[0]), spec))
+	})
+}
+
+// BenchmarkStreamMerge is the "fan-in merge" layer end to end in one
+// process: a federated export (σ/π pushed) drained from three
+// in-process ERP gateways through the streaming scatter-gather, with
+// the coordinator's PK dedupe and WHERE re-check.
+func BenchmarkStreamMerge(b *testing.B) {
+	fed := federation.New(federation.NewAgoric())
+	def := workload.CatalogDef()
+	sups, rows := benchCatalog(b, 3, 2000)
+	var frags []*federation.Fragment
+	for i, s := range sups {
+		tbl := storage.NewTable(def.Clone("catalog"))
+		for _, r := range rows[i] {
+			if _, err := tbl.Insert(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		site := federation.NewSite(fmt.Sprintf("erp-%d", i))
+		if err := fed.AddSite(site); err != nil {
+			b.Fatal(err)
+		}
+		site.AddSource(wrapper.NewERPSource("catalog", tbl))
+		pred, err := sqlparse.ParseExpr(fmt.Sprintf("supplier = '%s'", s.Name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		frags = append(frags, federation.NewFragment(s.Name, pred, site))
+	}
+	if _, err := fed.DefineTable(def, frags...); err != nil {
+		b.Fatal(err)
+	}
+	const sql = "SELECT sku, supplier, price, qty FROM catalog WHERE qty >= 100"
+	ctx := context.Background()
+	export := func() int {
+		st, _, err := fed.QueryStream(ctx, sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return drainStream(b, st)
+	}
+	measurePerRow(b, export(), export)
 }

@@ -119,6 +119,52 @@ func TestRecoverFromCheckpointPlusTail(t *testing.T) {
 	}
 }
 
+// TestRecoverKeepsHashIndexAcrossCheckpoint pins that a hash index
+// declared with CreateTableIndex(..., hash=true) is rebuilt when the
+// declaration lives only in a checkpoint (the log tail no longer holds
+// its index record).
+func TestRecoverKeepsHashIndexAcrossCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, l := newWALDB(t, dir)
+	execSQL(t, db, "CREATE TABLE parts (sku TEXT NOT NULL, bin TEXT, PRIMARY KEY (sku))")
+	if err := db.CreateTableIndex("parts", "bin", true); err != nil {
+		t.Fatalf("CreateTableIndex: %v", err)
+	}
+	execSQL(t, db, "INSERT INTO parts (sku, bin) VALUES ('a', 'x1'), ('b', 'x2')")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	execSQL(t, db, "INSERT INTO parts (sku, bin) VALUES ('c', 'x1')")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	db2 := NewDatabase()
+	st, err := db2.Recover(rec)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if !st.Checkpoint {
+		t.Fatalf("no checkpoint restored: %+v", st)
+	}
+	tbl, err := db2.Table("parts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.HasHashIndex("bin") {
+		t.Fatal("hash index declaration lost across checkpoint")
+	}
+	ids, err := tbl.LookupEqual("bin", value.NewString("x1"))
+	if err != nil || len(ids) != 2 {
+		t.Fatalf("LookupEqual(bin) after recovery = %v, %v; want 2 ids", ids, err)
+	}
+}
+
 func TestRecoverKeylessTableUpdateDelete(t *testing.T) {
 	dir := t.TempDir()
 	db, l := newWALDB(t, dir)

@@ -122,6 +122,9 @@ func (db *Database) SaveSnapshot(w io.Writer) error {
 			if t.HasIndex(c.Name) {
 				st.Indexes.Ordered = append(st.Indexes.Ordered, c.Name)
 			}
+			if t.HasHashIndex(c.Name) {
+				st.Indexes.Hash = append(st.Indexes.Hash, c.Name)
+			}
 		}
 		t.Scan(func(_ int64, row storage.Row) bool {
 			sr := make([]snapVal, len(row))

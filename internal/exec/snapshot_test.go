@@ -140,3 +140,41 @@ func TestSnapshotEmptyDatabase(t *testing.T) {
 		t.Error("empty snapshot grew tables")
 	}
 }
+
+// TestSnapshotKeepsHashIndexes pins that hash indexes survive a
+// Save/Load round trip: only the ordered list used to be written, so a
+// restored table lost every hash-only access path.
+func TestSnapshotKeepsHashIndexes(t *testing.T) {
+	db := NewDatabase()
+	execSQL(t, db, "CREATE TABLE parts (sku TEXT NOT NULL, bin TEXT, qty INTEGER, PRIMARY KEY (sku))")
+	if err := db.CreateTableIndex("parts", "bin", true); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTableIndex("parts", "qty", false); err != nil {
+		t.Fatal(err)
+	}
+	execSQL(t, db, "INSERT INTO parts (sku, bin, qty) VALUES ('a', 'x1', 1), ('b', 'x2', 2), ('c', 'x1', 3)")
+
+	var buf bytes.Buffer
+	if err := db.SaveSnapshot(&buf); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	db2 := NewDatabase()
+	if err := db2.LoadSnapshot(&buf); err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+	tbl, err := db2.Table("parts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.HasHashIndex("bin") || tbl.HasIndex("bin") {
+		t.Fatalf("bin: hash=%v ordered=%v, want hash only", tbl.HasHashIndex("bin"), tbl.HasIndex("bin"))
+	}
+	if !tbl.HasIndex("qty") || tbl.HasHashIndex("qty") {
+		t.Fatalf("qty: hash=%v ordered=%v, want ordered only", tbl.HasHashIndex("qty"), tbl.HasIndex("qty"))
+	}
+	ids, err := tbl.LookupEqual("bin", value.NewString("x1"))
+	if err != nil || len(ids) != 2 {
+		t.Fatalf("LookupEqual(bin) after restore = %v, %v; want 2 ids", ids, err)
+	}
+}

@@ -467,7 +467,7 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 	}
 
 	// The merge evaluates the original statement over shipped rows:
-	// qualified env names resolve both "alias.col" and bare "col" refs.
+	// qualified names resolve both "alias.col" and bare "col" refs.
 	names := make([]string, len(def.Columns))
 	for i, c := range def.Columns {
 		names[i] = alias + "." + lower(c.Name)
@@ -486,10 +486,12 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 		keyIdx = append(keyIdx, ci)
 	}
 
-	// The consumer side is two stages: "filter/limit" (WHERE re-check,
-	// projection, OFFSET/LIMIT — the rows the caller actually sees) over
-	// "merge" (the fan-in: every row shipped by every fragment). Both
-	// ride the context so the fragment pumps parent under the merge.
+	// The consumer side is two stages: "filter/limit" (the bound WHERE
+	// re-check, the bound select items — or the shipped row itself when
+	// they are exactly its columns — and OFFSET/LIMIT: the rows the
+	// caller actually sees) over "merge" (the fan-in: every row shipped
+	// by every fragment). Both ride the context so the fragment pumps
+	// parent under the merge.
 	limitDetail := lower(sel.From.Name)
 	if sel.Limit >= 0 {
 		limitDetail += " limit " + strconv.Itoa(sel.Limit)
@@ -518,12 +520,30 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 	if sel.Limit >= 0 {
 		remain = sel.Limit
 	}
+	// WHERE and the select items are bound to shipped-row slots once
+	// here, not resolved by name per row. Items that are exactly the
+	// shipped columns in order let the merge hand shipped rows through.
+	var ev plan.Evaluator
+	var where plan.Bound
+	if sel.Where != nil {
+		where = ev.Bind(sel.Where, names)
+	}
+	bound := make([]plan.Bound, len(items))
+	passthrough := len(items) == len(names)
+	for i, it := range items {
+		bound[i] = ev.Bind(it.Expr, names)
+		if ref, ok := it.Expr.(sqlparse.ColumnRef); !ok {
+			passthrough = false
+		} else if slot, err := plan.ResolveSlot(names, ref); err != nil || slot != i {
+			passthrough = false
+		}
+	}
 	return &fedStream{
 		f: f, ctx: ctx, cancel: cancel, sp: sp, start: time.Now(),
 		aq: aq, sql: sel.String(), limitStage: limitStage, mergeStage: mergeStage,
 		trace: trace, ch: ch, counters: counters,
 		table: gt.Def.Name, fullWidth: len(gt.Def.Columns),
-		env: plan.NewRowEnvRaw(names, nil), where: sel.Where, items: items,
+		where: where, items: bound, passthrough: passthrough,
 		cols: fedItemNames(items), keyIdx: keyIdx,
 		seen: make(map[string]bool), waiting: active,
 		skip: sel.Offset, remain: remain,
@@ -579,7 +599,13 @@ func fedItemNames(items []sqlparse.SelectItem) []string {
 // key (first write wins — fragments are disjoint or replicated, so
 // any copy is the row), re-checks the statement's WHERE, projects the
 // select items, applies OFFSET/LIMIT, and folds producers' completion
-// records into the query trace.
+// records into the query trace. WHERE and the items are bound to
+// shipped-row slots once per stream (plan.Evaluator.Bind), so no row
+// pays name resolution. The re-check stays even though sites apply the
+// pushed predicate: it is what keeps a weaker or older peer's rows
+// correct. When the items are exactly the shipped columns in order,
+// the shipped row is emitted as is — RowStream rows already belong to
+// their consumer, so no copy is needed.
 //
 // The dedupe set is the one deliberate exception to the O(batch ×
 // fragments) memory bound: keyed streams record one encoded key per
@@ -606,16 +632,15 @@ type fedStream struct {
 	mergeStage *obs.StageStats  // rows arriving over the fan-in
 	limitRows  int64            // emitted rows not yet flushed to limitStage
 
-	table     string
-	fullWidth int // unprojected width, for pushdown accounting
-	ev        plan.Evaluator
-	env       *plan.RowEnv
-	where     sqlparse.Expr
-	items     []sqlparse.SelectItem
-	cols      []string
-	keyIdx    []int
-	seen      map[string]bool
-	keyBuf    []byte
+	table       string
+	fullWidth   int        // unprojected width, for pushdown accounting
+	where       plan.Bound // WHERE re-check; nil when the statement has none
+	items       []plan.Bound
+	passthrough bool // items are the shipped columns in order
+	cols        []string
+	keyIdx      []int
+	seen        map[string]bool
+	keyBuf      []byte
 
 	pending []storage.Row
 	pos     int
@@ -704,9 +729,8 @@ func (s *fedStream) consumeBatch(b *storage.Batch) {
 			}
 			s.seen[k] = true
 		}
-		s.env.Values = r
 		if s.where != nil {
-			v, err := s.ev.Eval(s.where, s.env)
+			v, err := s.where(r)
 			if err != nil {
 				s.fail(err)
 				return
@@ -715,9 +739,15 @@ func (s *fedStream) consumeBatch(b *storage.Batch) {
 				continue
 			}
 		}
+		if s.passthrough {
+			// Shipped rows already belong to the merge (RowStream rows
+			// are owned by the caller), so the row is the output row.
+			s.pending = append(s.pending, r)
+			continue
+		}
 		out := make(storage.Row, len(s.items))
-		for i, it := range s.items {
-			v, err := s.ev.Eval(it.Expr, s.env)
+		for i, item := range s.items {
+			v, err := item(r)
 			if err != nil {
 				s.fail(err)
 				return

@@ -51,33 +51,46 @@ var ErrAmbiguousColumn = fmt.Errorf("plan: ambiguous column")
 
 // Resolve implements Env.
 func (e *RowEnv) Resolve(ref sqlparse.ColumnRef) (value.Value, error) {
+	i, err := ResolveSlot(e.Names, ref)
+	if err != nil {
+		return value.Null, err
+	}
+	return e.Values[i], nil
+}
+
+// ResolveSlot is the one name-resolution rule: it returns the index of
+// ref among names (lowercase, bare or "table.column"). A qualified ref
+// matches its exact qualified name; a bare ref matches the one name
+// whose column part equals it, and fails as ambiguous when several do.
+func ResolveSlot(names []string, ref sqlparse.ColumnRef) (int, error) {
 	col := strings.ToLower(ref.Column)
 	if ref.Table != "" {
 		want := strings.ToLower(ref.Table) + "." + col
-		for i, n := range e.Names {
+		for i, n := range names {
 			if n == want {
-				return e.Values[i], nil
+				return i, nil
 			}
 		}
-		return value.Null, fmt.Errorf("%w: %s", ErrUnknownColumn, ref)
+		return -1, fmt.Errorf("%w: %s", ErrUnknownColumn, ref)
 	}
+	// A bare ref matches the part of a name after its last dot; that
+	// part never holds a dot, so a dotted bare ref matches nothing.
 	found := -1
-	for i, n := range e.Names {
-		bare := n
-		if dot := strings.LastIndexByte(n, '.'); dot >= 0 {
-			bare = n[dot+1:]
-		}
-		if bare == col {
+	if strings.IndexByte(col, '.') < 0 {
+		for i, n := range names {
+			if n != col && !(len(n) > len(col) && n[len(n)-len(col)-1] == '.' && n[len(n)-len(col):] == col) {
+				continue
+			}
 			if found >= 0 {
-				return value.Null, fmt.Errorf("%w: %s", ErrAmbiguousColumn, ref)
+				return -1, fmt.Errorf("%w: %s", ErrAmbiguousColumn, ref)
 			}
 			found = i
 		}
 	}
 	if found < 0 {
-		return value.Null, fmt.Errorf("%w: %s", ErrUnknownColumn, ref)
+		return -1, fmt.Errorf("%w: %s", ErrUnknownColumn, ref)
 	}
-	return e.Values[found], nil
+	return found, nil
 }
 
 // TextMatcher evaluates a text-search predicate for the current row.
@@ -161,73 +174,98 @@ func (ev *Evaluator) Eval(e sqlparse.Expr, env Env) (value.Value, error) {
 }
 
 func (ev *Evaluator) evalBinary(x sqlparse.Binary, env Env) (value.Value, error) {
-	// AND/OR get SQL three-valued logic with short circuit.
-	if x.Op == sqlparse.OpAnd || x.Op == sqlparse.OpOr {
-		l, err := ev.Eval(x.Left, env)
-		if err != nil {
-			return value.Null, err
-		}
-		if x.Op == sqlparse.OpAnd && !l.IsNull() && !l.Truthy() {
-			return value.NewBool(false), nil
-		}
-		if x.Op == sqlparse.OpOr && !l.IsNull() && l.Truthy() {
-			return value.NewBool(true), nil
-		}
-		r, err := ev.Eval(x.Right, env)
-		if err != nil {
-			return value.Null, err
-		}
-		if l.IsNull() || r.IsNull() {
-			// unknown AND true = unknown; unknown OR false = unknown
-			if x.Op == sqlparse.OpAnd && !r.IsNull() && !r.Truthy() {
-				return value.NewBool(false), nil
-			}
-			if x.Op == sqlparse.OpOr && !r.IsNull() && r.Truthy() {
-				return value.NewBool(true), nil
-			}
-			return value.Null, nil
-		}
-		if x.Op == sqlparse.OpAnd {
-			return value.NewBool(l.Truthy() && r.Truthy()), nil
-		}
-		return value.NewBool(l.Truthy() || r.Truthy()), nil
-	}
 	l, err := ev.Eval(x.Left, env)
 	if err != nil {
 		return value.Null, err
+	}
+	logical := isLogical(x.Op)
+	if logical {
+		if out, ok := shortCircuit(x.Op, l); ok {
+			return value.NewBool(out), nil
+		}
 	}
 	r, err := ev.Eval(x.Right, env)
 	if err != nil {
 		return value.Null, err
 	}
-	switch x.Op {
-	case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
-		if l.IsNull() || r.IsNull() {
-			return value.Null, nil
-		}
-		c, err := compareForEval(l, r)
-		if err != nil {
-			return value.Null, err
-		}
-		var out bool
-		switch x.Op {
-		case sqlparse.OpEq:
-			out = c == 0
-		case sqlparse.OpNe:
-			out = c != 0
-		case sqlparse.OpLt:
-			out = c < 0
-		case sqlparse.OpLe:
-			out = c <= 0
-		case sqlparse.OpGt:
-			out = c > 0
-		case sqlparse.OpGe:
-			out = c >= 0
-		}
-		return value.NewBool(out), nil
+	switch {
+	case logical:
+		return logic3(x.Op, l, r), nil
+	case isComparison(x.Op):
+		return compareOp(x.Op, l, r)
 	default:
 		return arith(x.Op, l, r)
 	}
+}
+
+// The binary operator semantics below are shared by Eval and Bind:
+// AND/OR with SQL three-valued logic (shortCircuit, then logic3),
+// comparisons (compareOp) and arithmetic (arith).
+
+func isLogical(op sqlparse.BinaryOp) bool {
+	return op == sqlparse.OpAnd || op == sqlparse.OpOr
+}
+
+func isComparison(op sqlparse.BinaryOp) bool {
+	switch op {
+	case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
+		return true
+	}
+	return false
+}
+
+// shortCircuit decides AND/OR from the left operand alone when it can:
+// false AND x is false, true OR x is true.
+func shortCircuit(op sqlparse.BinaryOp, l value.Value) (out, ok bool) {
+	if l.IsNull() || l.Truthy() != (op == sqlparse.OpOr) {
+		return false, false
+	}
+	return op == sqlparse.OpOr, true
+}
+
+// logic3 combines AND/OR operands the left one could not decide alone.
+func logic3(op sqlparse.BinaryOp, l, r value.Value) value.Value {
+	if l.IsNull() || r.IsNull() {
+		// unknown AND true = unknown; unknown OR false = unknown
+		if op == sqlparse.OpAnd && !r.IsNull() && !r.Truthy() {
+			return value.NewBool(false)
+		}
+		if op == sqlparse.OpOr && !r.IsNull() && r.Truthy() {
+			return value.NewBool(true)
+		}
+		return value.Null
+	}
+	if op == sqlparse.OpAnd {
+		return value.NewBool(l.Truthy() && r.Truthy())
+	}
+	return value.NewBool(l.Truthy() || r.Truthy())
+}
+
+// compareOp evaluates a comparison; NULL on either side is unknown.
+func compareOp(op sqlparse.BinaryOp, l, r value.Value) (value.Value, error) {
+	if l.IsNull() || r.IsNull() {
+		return value.Null, nil
+	}
+	c, err := compareForEval(l, r)
+	if err != nil {
+		return value.Null, err
+	}
+	var out bool
+	switch op {
+	case sqlparse.OpEq:
+		out = c == 0
+	case sqlparse.OpNe:
+		out = c != 0
+	case sqlparse.OpLt:
+		out = c < 0
+	case sqlparse.OpLe:
+		out = c <= 0
+	case sqlparse.OpGt:
+		out = c > 0
+	case sqlparse.OpGe:
+		out = c >= 0
+	}
+	return value.NewBool(out), nil
 }
 
 // compareForEval relaxes value.Compare slightly: string-vs-other compares

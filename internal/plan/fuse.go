@@ -30,7 +30,8 @@ type FuseSpec struct {
 	// predicates, builtin scalar functions only).
 	Eval *Evaluator
 	// Cols names the upstream columns for WHERE resolution. nil uses
-	// inner.Columns(). Names are lowercased once at construction.
+	// inner.Columns(). Where is bound to these columns once, at
+	// construction, so rows pay no per-row name resolution.
 	Cols []string
 	// Project lists upstream column indexes to keep, in output order.
 	// nil keeps all columns. Projection happens after filtering, so
@@ -50,9 +51,7 @@ type FuseSpec struct {
 // the site shipped, RowsOut what survived the residual filter.
 type FusedStream struct {
 	inner   storage.RowStream
-	eval    *Evaluator
-	where   sqlparse.Expr
-	env     *RowEnv
+	where   Bound    // nil keeps every row
 	cols    []string // output column names
 	project []int
 	skip    int
@@ -72,10 +71,6 @@ func FuseStream(inner storage.RowStream, spec FuseSpec) *FusedStream {
 	if cols == nil {
 		cols = inner.Columns()
 	}
-	var env *RowEnv
-	if spec.Where != nil {
-		env = NewRowEnv(cols, nil)
-	}
 	out := cols
 	if spec.Project != nil {
 		out = make([]string, len(spec.Project))
@@ -83,16 +78,20 @@ func FuseStream(inner storage.RowStream, spec FuseSpec) *FusedStream {
 			out[i] = cols[idx]
 		}
 	}
-	ev := spec.Eval
-	if ev == nil {
-		ev = &Evaluator{}
+	var where Bound
+	if spec.Where != nil {
+		ev := spec.Eval
+		if ev == nil {
+			ev = &Evaluator{}
+		}
+		where = ev.Bind(spec.Where, cols)
 	}
 	remain := spec.Limit
 	if remain < 0 {
 		remain = -1
 	}
 	return &FusedStream{
-		inner: inner, eval: ev, where: spec.Where, env: env,
+		inner: inner, where: where,
 		cols: out, project: spec.Project,
 		skip: spec.Offset, remain: remain, stage: spec.Stage,
 	}
@@ -131,9 +130,7 @@ func (f *FusedStream) Next() (storage.Row, error) {
 		}
 		f.rowsIn.Add(1)
 		if f.where != nil {
-			f.env.Values = r
-			v, everr := f.eval.Eval(f.where, f.env)
-			f.env.Values = nil
+			v, everr := f.where(r)
 			if everr != nil {
 				f.done = true
 				f.settle(everr)

@@ -566,11 +566,6 @@ func (p *parser) primary() (Expr, error) {
 			}
 			return e, nil
 		}
-		if t.Text == "*" {
-			// COUNT(*) reaches primary through the argument list.
-			p.next()
-			return Star{}, nil
-		}
 		return nil, p.errf("unexpected %q in expression", t.Text)
 	case TokIdent:
 		p.next()
@@ -579,9 +574,14 @@ func (p *parser) primary() (Expr, error) {
 			call := Call{Name: strings.ToUpper(t.Text)}
 			if !p.accept(TokSymbol, ")") {
 				for {
-					a, err := p.expr()
-					if err != nil {
-						return nil, err
+					// A bare * is only an argument (COUNT(*)), never an
+					// operand: "(*)" or "* + 1" would not survive rendering.
+					var a Expr = Star{}
+					if !p.accept(TokSymbol, "*") {
+						var err error
+						if a, err = p.expr(); err != nil {
+							return nil, err
+						}
 					}
 					call.Args = append(call.Args, a)
 					if !p.accept(TokSymbol, ",") {

@@ -299,6 +299,9 @@ func TestParseErrors(t *testing.T) {
 		"CREATE TABLE t ()", "CREATE TABLE t (PRIMARY KEY (a))",
 		"SELECT a FROM t JOIN", "SELECT a FROM t LIMIT x",
 		"SELECT * FROM t; SELECT * FROM u",
+		// A bare * is a select item or a call argument, never an
+		// operand: these used to parse but render unparseably.
+		"SELECT (*) A FROM t", "SELECT * + 1 FROM t", "SELECT a FROM t WHERE (*) = 1",
 	}
 	for _, sql := range bad {
 		if _, err := Parse(sql); err == nil {

@@ -2,8 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
-
+	"slices"
 	"sync"
 
 	"cohera/internal/ir"
@@ -32,6 +31,12 @@ var ErrNoIndex = fmt.Errorf("storage: no index on column")
 
 // Table is a heap of rows with secondary indexes. All methods are safe for
 // concurrent use.
+//
+// Stored rows are immutable: every mutation stores a fresh copy under
+// the write lock (Insert, Upsert and Update replace t.rows[id], never
+// write into the old slice). A row slice once observed is never written
+// again, so View's callback, and any copy it makes, sees exactly one
+// version of a row, never a mix of an old and a new one.
 type Table struct {
 	def *schema.Table
 
@@ -136,6 +141,15 @@ func (t *Table) HasIndex(column string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	_, ok := t.btrees[ci]
+	return ok
+}
+
+// HasHashIndex reports whether column has a hash index.
+func (t *Table) HasHashIndex(column string) bool {
+	ci := t.def.ColumnIndex(column)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	_, ok := t.hashes[ci]
 	return ok
 }
 
@@ -293,6 +307,20 @@ func (t *Table) Get(id int64) (Row, error) {
 	return row.Clone(), nil
 }
 
+// View calls fn with the stored row for id under the table's read lock
+// and reports whether the row exists (fn is not called when it does
+// not). It lets a scan test a row before paying for a copy. fn must not
+// retain or modify the row, and must not call back into the table.
+func (t *Table) View(id int64, fn func(Row)) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	row, ok := t.rows[id]
+	if ok {
+		fn(row)
+	}
+	return ok
+}
+
 // Update replaces the row with the given id after validation.
 func (t *Table) Update(id int64, row Row) error {
 	if err := t.def.Validate(row); err != nil {
@@ -342,14 +370,7 @@ func (t *Table) Delete(id int64) error {
 // Scan visits every row (copy) in unspecified order. The visitor returns
 // false to stop early.
 func (t *Table) Scan(visit func(id int64, row Row) bool) {
-	t.mu.RLock()
-	ids := make([]int64, 0, len(t.rows))
-	for id := range t.rows {
-		ids = append(ids, id)
-	}
-	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range t.IDs() {
 		t.mu.RLock()
 		row, ok := t.rows[id]
 		var c Row
@@ -377,7 +398,7 @@ func (t *Table) IDs() []int64 {
 		ids = append(ids, id)
 	}
 	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

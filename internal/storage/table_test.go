@@ -338,3 +338,34 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("Len = %d, want 800", tbl.Len())
 	}
 }
+
+// TestViewAndIndexKinds pins View (the stored row in place, or false
+// without calling fn for a missing id) and that HasIndex/HasHashIndex
+// tell the two index kinds apart.
+func TestViewAndIndexKinds(t *testing.T) {
+	tbl := NewTable(partsDef())
+	id, err := tbl.Insert(row("SKU-1", "black ink", 199, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen Row
+	if !tbl.View(id, func(r Row) { seen = r.Clone() }) || seen[3].Int() != 10 {
+		t.Fatalf("View(live) saw %v", seen)
+	}
+	if err := tbl.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.View(id, func(Row) { t.Fatal("fn called for a deleted row") }) {
+		t.Fatal("View reported a deleted row")
+	}
+
+	if err := tbl.CreateHashIndex("name"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("qty"); err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.HasHashIndex("name") || tbl.HasIndex("name") || !tbl.HasIndex("qty") || tbl.HasHashIndex("qty") {
+		t.Fatal("index kinds mixed up")
+	}
+}

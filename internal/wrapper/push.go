@@ -83,34 +83,40 @@ func projectIndexes(def *schema.Table, cols []string) ([]int, error) {
 }
 
 // FetchPushStream implements PushStreamingSource: the gateway stands in
-// for a full remote engine, so it evaluates the pushed predicate,
-// projection, and limit at its own scan — rows failing the pushed WHERE
-// never leave the source.
+// for a full remote engine, so it applies the pushed predicate,
+// projection, and limit at its own scan. The predicate is bound to the
+// schema once and evaluated against each stored row in place; rows
+// failing it are never copied, and survivors are copied only as far as
+// the pushed columns.
 func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
-	inner, err := s.FetchStream(ctx, filters)
-	if err != nil {
-		return nil, Applied{}, err
-	}
-	if push.Empty() {
-		return inner, Applied{}, nil
-	}
-	spec := plan.FuseSpec{Where: push.Where, Limit: -1}
-	applied := Applied{Where: push.Where != nil}
+	var project []int
 	if push.Cols != nil {
 		idx, err := projectIndexes(s.table.Def(), push.Cols)
 		if err != nil {
-			//lint:ignore errdrop the projection already failed; close is best-effort cleanup
-			_ = inner.Close()
 			return nil, Applied{}, err
 		}
-		spec.Project = idx
-		applied.Cols = true
+		project = idx
+	}
+	st, err := s.openTableStream(ctx, filters)
+	if err != nil {
+		return nil, Applied{}, err
+	}
+	if push.Where != nil {
+		var ev plan.Evaluator
+		st.where = ev.Bind(push.Where, st.cols)
+	}
+	if project != nil {
+		st.project = project
+		out := make([]string, len(project))
+		for i, ci := range project {
+			out[i] = st.cols[ci]
+		}
+		st.cols = out
 	}
 	if push.Limit > 0 {
-		spec.Limit = push.Limit
-		applied.Limit = true
+		st.remain = push.Limit
 	}
-	return plan.FuseStream(inner, spec), applied, nil
+	return st, Applied{Where: push.Where != nil, Cols: project != nil, Limit: push.Limit > 0}, nil
 }
 
 // FetchPushStream implements PushStreamingSource for the instrumented

@@ -33,10 +33,14 @@
 #                                admitted p99 in SLO, no tenant
 #                                starved, shed-free recovery
 #   6. go test -race ./...       full tests under the race detector
+#   6b. perfbench unit tests     the benchmark harness is its own module
+#                                (outside ./...): its quantile, oracle
+#                                and write-model tests run here
 #   7. go test -fuzz ... 10s     fuzz smoke: parser, stream decoder
 #                                (NDJSON and binary frames), binary row
-#                                codec, WAL replay, and the pushdown
-#                                split oracle each survive a short run
+#                                codec, WAL replay, the pushdown split
+#                                oracle, and the Bind-vs-Eval oracle
+#                                each survive a short run
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -76,6 +80,9 @@ go run ./cmd/coherachaos -overload -seed 42
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> perfbench unit tests"
+(cd perfbench && go test .)
+
 echo "==> fuzz smoke (10s per target)"
 go test -fuzz 'FuzzParse$' -fuzztime 10s ./internal/sqlparse/
 go test -fuzz FuzzParseExpr -fuzztime 10s ./internal/sqlparse/
@@ -83,5 +90,6 @@ go test -fuzz FuzzDecodeStream -fuzztime 10s ./internal/remote/
 go test -fuzz FuzzRowCodec -fuzztime 10s ./internal/value/
 go test -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
 go test -fuzz FuzzPushdownSplit -fuzztime 10s ./internal/plan/
+go test -fuzz FuzzBind -fuzztime 10s ./internal/plan/
 
 echo "check: all gates passed"

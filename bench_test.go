@@ -284,7 +284,7 @@ func benchCatalog(b *testing.B, suppliers, itemsEach int) ([]workload.Supplier, 
 // in-memory catalog rows, binding included.
 func BenchmarkFuseStream(b *testing.B) {
 	_, rows := benchCatalog(b, 1, 4096)
-	cols := wrapper.ColumnNames(workload.CatalogDef())
+	cols := workload.CatalogDef().ColumnNames()
 	where, err := sqlparse.ParseExpr("qty >= 100")
 	if err != nil {
 		b.Fatal(err)

@@ -317,6 +317,18 @@ func scrapeCounter(base, name string) (int64, error) {
 // scenarioBreakerLifecycle: sustained faults open a site's breaker, the
 // open breaker sheds load without touching the site, and once the flap
 // schedule clears the half-open probes close it again.
+// probeParts reads one whole "parts" subquery from s, the way a
+// breaker probe does: the open runs the site's availability gate, and
+// the drained stream's Close settles the breaker.
+func probeParts(ctx context.Context, s *federation.Site) error {
+	st, err := s.SubQueryStream(ctx, "parts", nil, nil, -1)
+	if err != nil {
+		return err
+	}
+	_, err = storage.CollectRows(st)
+	return err
+}
+
 func scenarioBreakerLifecycle(seed int64) error {
 	tb, err := newTestbed()
 	if err != nil {
@@ -340,14 +352,14 @@ func scenarioBreakerLifecycle(seed int64) error {
 	tb.east.SetFaultHook(inj.Inject)
 
 	for i := 0; i < 3; i++ {
-		if _, err := tb.east.SubQuery(ctx, "parts", nil, nil); !errors.Is(err, federation.ErrSiteFailure) {
+		if err := probeParts(ctx, tb.east); !errors.Is(err, federation.ErrSiteFailure) {
 			return fmt.Errorf("fault %d: want ErrSiteFailure, got %v", i, err)
 		}
 	}
 	if br.State() != resilience.Open {
 		return fmt.Errorf("breaker = %v after sustained faults, want open", br.State())
 	}
-	if _, err := tb.east.SubQuery(ctx, "parts", nil, nil); !errors.Is(err, federation.ErrBreakerOpen) {
+	if err := probeParts(ctx, tb.east); !errors.Is(err, federation.ErrBreakerOpen) {
 		return fmt.Errorf("open breaker should reject, got %v", err)
 	}
 	if score := tb.east.HealthScore(); score != 0 {
@@ -357,7 +369,7 @@ func scenarioBreakerLifecycle(seed int64) error {
 	// Half-open too early: the schedule still has the site down, so the
 	// probe fails and the breaker re-opens.
 	clock.Advance(3 * time.Second) // past OpenTimeout, inside the outage window
-	if _, err := tb.east.SubQuery(ctx, "parts", nil, nil); !errors.Is(err, federation.ErrSiteFailure) {
+	if err := probeParts(ctx, tb.east); !errors.Is(err, federation.ErrSiteFailure) {
 		return fmt.Errorf("probe during outage: want ErrSiteFailure, got %v", err)
 	}
 	if br.State() != resilience.Open {
@@ -367,7 +379,7 @@ func scenarioBreakerLifecycle(seed int64) error {
 	// Schedule clears; the next probes close the breaker for good.
 	clock.Advance(5 * time.Second)
 	for i := 0; i < 2; i++ {
-		if _, err := tb.east.SubQuery(ctx, "parts", nil, nil); err != nil {
+		if err := probeParts(ctx, tb.east); err != nil {
 			return fmt.Errorf("probe %d after faults cleared: %v", i, err)
 		}
 	}
@@ -760,7 +772,7 @@ func scenarioSoak(seed int64, ops int) error {
 	clock.Advance(maxEnd + 10*step)
 	for _, s := range sites {
 		for p := 0; p < 3; p++ {
-			if _, err := s.SubQuery(ctx, "parts", nil, nil); err != nil {
+			if err := probeParts(ctx, s); err != nil {
 				return fmt.Errorf("recovery probe at %s: %v", s.Name(), err)
 			}
 		}

@@ -45,7 +45,7 @@ func main() {
 		walDir      = flag.String("wal-dir", "", "write-ahead log directory: mutations are durable and the catalog survives kill -9 (empty = no WAL)")
 		ckptEvery   = flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint interval with -wal-dir (0 = checkpoint only at boot and shutdown)")
 		fsyncMode   = flag.String("fsync", "batch", "WAL durability: always (fsync before every acknowledgement), batch (group commit), none (crash-consistent, OS decides)")
-		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrent /fetch + /fetchstream requests (0 = unlimited, gate off unless another admission flag is set)")
+		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrent /fetchstream requests (0 = unlimited, gate off unless another admission flag is set)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "admission control: per-tenant sustained requests/sec, shed 429 beyond the burst (0 = per-tenant limit off)")
 		queueDepth  = flag.Int("queue-depth", 0, "admission control: bounded wait queue in front of the in-flight window (0 = 2×max-inflight)")
 	)

@@ -63,10 +63,10 @@ func run() error {
 	}
 	rows, err := sources[0].Fetch(ctx, nil)
 	if err != nil {
-		return fmt.Errorf("/fetch: %w", err)
+		return fmt.Errorf("fetch: %w", err)
 	}
 	if len(rows) == 0 {
-		return fmt.Errorf("/fetch: no rows")
+		return fmt.Errorf("fetch: no rows")
 	}
 
 	if err := checkHealth(ts.URL); err != nil {

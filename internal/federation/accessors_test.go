@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"cohera/internal/storage"
 )
 
 func TestOptimizerNamesAndSiteCounters(t *testing.T) {
@@ -32,20 +34,25 @@ func TestOptimizerNamesAndSiteCounters(t *testing.T) {
 	}
 }
 
-// TestQuerySourcePushdownPaths exercises the wrapper-backed subquery path
-// with projected columns and unknown-column errors.
+// TestQuerySourcePushdownProjection exercises a site subquery with
+// projected columns.
 func TestQuerySourcePushdownProjection(t *testing.T) {
 	fed, _, _ := twoFragFed(t)
-	// Projection through a stored fragment (SubQuery cols path).
+	// Projection through a stored fragment (SubQueryStream cols path).
 	s, _ := fed.Site("east-1")
-	res, err := s.SubQuery(context.Background(), "parts", nil, []string{"sku", "price"})
+	st, err := s.SubQueryStream(context.Background(), "parts", nil, []string{"sku", "price"}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Columns) != 2 || res.Columns[0] != "sku" {
-		t.Errorf("projected columns = %v", res.Columns)
+	cols := st.Columns()
+	rows, err := storage.CollectRows(st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 || len(res.Rows[0]) != 2 {
-		t.Errorf("projected rows = %v", res.Rows)
+	if len(cols) != 2 || cols[0] != "sku" {
+		t.Errorf("projected columns = %v", cols)
+	}
+	if len(rows) != 2 || len(rows[0]) != 2 {
+		t.Errorf("projected rows = %v", rows)
 	}
 }

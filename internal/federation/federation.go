@@ -507,6 +507,26 @@ func (t *QueryTrace) notePushed(key string, pushed, dropped int) {
 	}
 }
 
+// merge folds one UNION branch's trace into t. Branches run one after
+// another, so the buffered-row peak is the larger of the two.
+func (t *QueryTrace) merge(o *QueryTrace) {
+	for k, v := range o.FragmentSites {
+		t.FragmentSites[k] = v
+	}
+	t.Failovers += o.Failovers
+	t.PrunedFragments += o.PrunedFragments
+	t.CellsShipped += o.CellsShipped
+	t.CellsWithoutPushdown += o.CellsWithoutPushdown
+	for k, fe := range o.FragmentErrors {
+		t.noteFragmentError(k, fe)
+	}
+	t.PeakBufferedRows = max(t.PeakBufferedRows, o.PeakBufferedRows)
+	t.StaleServed = append(t.StaleServed, o.StaleServed...)
+	for k, n := range o.PushedRows {
+		t.notePushed(k, n, o.ResidualDropped[k])
+	}
+}
+
 // noteFragmentError records one dropped fragment on a degraded trace.
 func (t *QueryTrace) noteFragmentError(key string, err error) {
 	if t.FragmentErrors == nil {
@@ -590,19 +610,13 @@ func (f *Federation) Union(ctx context.Context, u sqlparse.UnionStmt) (*exec.Res
 		if i == 0 {
 			out.Columns = r.Columns
 		} else if len(r.Columns) != len(out.Columns) {
-			return nil, nil, fmt.Errorf("federation: UNION branch %d has %d columns, first has %d",
+			err := fmt.Errorf("federation: UNION branch %d has %d columns, first has %d",
 				i+1, len(r.Columns), len(out.Columns))
+			sp.SetErr(err)
+			ustage.Fail(err)
+			return nil, nil, err
 		}
-		for k, v := range trace.FragmentSites {
-			total.FragmentSites[k] = v
-		}
-		total.Failovers += trace.Failovers
-		total.PrunedFragments += trace.PrunedFragments
-		total.CellsShipped += trace.CellsShipped
-		total.CellsWithoutPushdown += trace.CellsWithoutPushdown
-		for k, fe := range trace.FragmentErrors {
-			total.noteFragmentError(k, fe)
-		}
+		total.merge(trace)
 		for _, row := range r.Rows {
 			if !u.All {
 				key := rowKey(row)
@@ -652,10 +666,6 @@ func (f *Federation) Select(ctx context.Context, sel sqlparse.SelectStmt) (*exec
 			sp.Set("degraded", strconv.Itoa(len(trace.FragmentErrors)))
 			metDegraded.Inc()
 			metDegradedFragments.Add(int64(len(trace.FragmentErrors)))
-			obs.MarkDegraded(ctx)
-		}
-		if len(trace.StaleServed) > 0 {
-			obs.MarkStale(ctx)
 		}
 		trace.TraceID = sp.TraceID
 	}
@@ -745,7 +755,7 @@ func (f *Federation) doSelect(ctx context.Context, sel sqlparse.SelectStmt) (*ex
 			return nil, nil, err
 		}
 		gctx, gstage := obs.StartStage(ctx, "gather", strings.ToLower(r.gt.Def.Name))
-		if err := f.gather(gctx, r.gt, r.push, cols, len(r.gt.Def.Columns), tbl, trace); err != nil {
+		if err := f.gather(gctx, r.gt, r.push, cols, tbl, trace); err != nil {
 			gstage.Fail(err)
 			return nil, nil, err
 		}
@@ -964,15 +974,14 @@ func projectDef(def *schema.Table, want map[string]bool) (*schema.Table, []strin
 // stages each fragment's rows until its completion record arrives
 // (O(fragment) extra memory) so a degraded result only ever contains
 // whole fragments. cols, when non-nil, is the projected column list
-// shipped from sites; fullWidth is the table's unprojected column
-// count, for the pushdown-savings accounting.
-func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.Expr, cols []string, fullWidth int, dst *storage.Table, trace *QueryTrace) error {
+// shipped from sites.
+func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.Expr, cols []string, dst *storage.Table, trace *QueryTrace) error {
 	// Upsert dedupes by primary key, which absorbs the replayed prefix
 	// of a mid-stream replica failover; keyless tables must not replay.
 	canReplay := len(dst.Def().Key) > 0
 	counters := &streamCounters{}
 	stage := obs.StageFromContext(ctx)
-	ch, _, pruned := f.scatter(ctx, gt, push, cols, -1, clampFedBatch(f.StreamBatchRows), canReplay, counters)
+	ch, _ := f.scatter(ctx, gt, push, cols, -1, clampFedBatch(f.StreamBatchRows), canReplay, counters, trace)
 	var firstErr error
 	upsert := func(rows []storage.Row) {
 		for _, row := range rows {
@@ -985,10 +994,10 @@ func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.
 	// the fragment's outcome is known: a stream that ships a prefix and
 	// then loses every replica is degraded around, and committing the
 	// prefix would leave nondeterministic partial fragment data in the
-	// result. Rows are staged per fragment and committed by the success
-	// record. Without PartialResults any fragment failure discards the
-	// whole scratch table, so batches flow straight into dst and the
-	// staging cost is not paid.
+	// result. Rows are staged per fragment and committed only when the
+	// accountant says so. Without PartialResults any fragment failure
+	// discards the whole scratch table, so batches flow straight into
+	// dst and the staging cost is not paid.
 	var staged map[string][]storage.Row
 	if f.PartialResults {
 		staged = make(map[string][]storage.Row)
@@ -1005,43 +1014,17 @@ func (f *Federation) gather(ctx context.Context, gt *GlobalTable, push sqlparse.
 			storage.PutBatch(msg.batch)
 			continue
 		}
-		trace.Failovers += msg.fail
-		metFailovers.Add(int64(msg.fail))
-		if msg.err != nil {
-			// Under PartialResults a fragment lost to unavailability is
-			// degraded around: its staged prefix is dropped, its typed
-			// error lands on the trace, and the live fragments still
-			// answer. Semantic errors always fail.
-			if f.PartialResults && isAvailabilityErr(msg.err) && ctx.Err() == nil {
-				delete(staged, msg.frag.ID)
-				trace.noteFragmentError(gt.Def.Name+"/"+msg.frag.ID, msg.err)
-				continue
-			}
-			if firstErr == nil {
-				firstErr = msg.err
-			}
-			continue
+		commit, err := f.noteFragment(ctx, trace, gt, msg)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 		if staged != nil {
-			upsert(staged[msg.frag.ID])
+			if commit {
+				upsert(staged[msg.frag.ID])
+			}
 			delete(staged, msg.frag.ID)
 		}
-		trace.FragmentSites[gt.Def.Name+"/"+msg.frag.ID] = msg.site.Name()
-		if msg.stale {
-			trace.StaleServed = append(trace.StaleServed, gt.Def.Name+"/"+msg.frag.ID+"@"+msg.site.Name())
-			metStaleReads.Inc()
-		}
-		// Shipping cost is what crossed the site boundary: the rows the
-		// site actually served (pre-residual) at the width it served them.
-		metSiteRows(msg.site.Name()).Add(int64(msg.pushed))
-		trace.CellsShipped += msg.pushed * msg.width
-		trace.CellsWithoutPushdown += msg.pushed * fullWidth
-		metCellsShipped.Add(int64(msg.pushed * msg.width))
-		metCellsSaved.Add(int64(msg.pushed * (fullWidth - msg.width)))
-		trace.notePushed(gt.Def.Name+"/"+msg.frag.ID, msg.pushed, msg.pushed-msg.rows)
 	}
-	trace.PrunedFragments += pruned
-	metPruned.Add(int64(pruned))
 	if peak := int(counters.peak.Load()); peak > trace.PeakBufferedRows {
 		trace.PeakBufferedRows = peak
 	}

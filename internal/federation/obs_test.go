@@ -69,7 +69,7 @@ func TestSitePriorIsolation(t *testing.T) {
 	}
 }
 
-// TestSiteLatencyHistogramExported: SubQuery feeds the shared
+// TestSiteLatencyHistogramExported: SubQueryStream feeds the shared
 // cohera_site_subquery_seconds series that /metrics exposes.
 func TestSiteLatencyHistogramExported(t *testing.T) {
 	fed, _, _ := twoFragFed(t)

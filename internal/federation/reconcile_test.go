@@ -3,10 +3,12 @@ package federation
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"cohera/internal/fault"
+	"cohera/internal/obs"
 )
 
 // TestReconcilerReplaysIntents is the core anti-entropy contract: writes
@@ -297,6 +299,85 @@ func TestStaleReplicaPricing(t *testing.T) {
 	_, trace, err = fed.QueryTraced(ctx, "SELECT sku FROM parts WHERE region = 'west'")
 	if err != nil || len(trace.StaleServed) != 0 {
 		t.Fatalf("repaired replica still marked stale: %v, %v", trace.StaleServed, err)
+	}
+}
+
+// TestUnionTraceMergesBranchAccounting: a UNION's trace carries every
+// branch's accounting — the stale read, the pushed/residual rows and
+// the buffered-row peak, not just the routing — so EXPLAIN ANALYZE of
+// the UNION calls out the stale replica like the lone SELECT does. A
+// branch column-count mismatch fails the union's span and stage.
+func TestUnionTraceMergesBranchAccounting(t *testing.T) {
+	fed, _, fragWest := twoFragFed(t)
+	ctx := context.Background()
+	west1, west2 := fragWest.Replicas()[0], fragWest.Replicas()[1]
+	west1.SetDown(true)
+	if _, _, err := fed.Exec(ctx, "UPDATE parts SET price = 50 WHERE region = 'west'"); err != nil {
+		t.Fatal(err)
+	}
+	west1.SetDown(false) // back up, but stale: 1 pending intent
+	west2.SetDown(true)  // so the stale replica must serve
+
+	const union = "SELECT sku FROM parts WHERE region = 'west' UNION SELECT sku FROM parts WHERE region = 'east'"
+	res, trace, err := fed.QueryTraced(ctx, union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 {
+		t.Fatalf("union rows = %d, want 4", len(res.Rows))
+	}
+	if len(trace.StaleServed) != 1 || trace.StaleServed[0] != "parts/west@west-1" {
+		t.Fatalf("StaleServed = %v, want [parts/west@west-1]", trace.StaleServed)
+	}
+	if trace.PushedRows["parts/west"] != 2 || trace.PushedRows["parts/east"] != 2 {
+		t.Fatalf("PushedRows = %v, want 2 per branch fragment", trace.PushedRows)
+	}
+	if trace.PeakBufferedRows == 0 {
+		t.Fatal("PeakBufferedRows = 0 after two gathers that buffered rows")
+	}
+	if trace.PrunedFragments != 2 {
+		t.Fatalf("PrunedFragments = %d, want one per branch", trace.PrunedFragments)
+	}
+
+	explain, err := fed.Query(ctx, "EXPLAIN ANALYZE "+union)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, r := range explain.Rows {
+		if strings.TrimSpace(r[0].Str()) == "stale read: parts/west@west-1" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("EXPLAIN ANALYZE of the UNION prints no stale read line:\n%v", explain.Rows)
+	}
+
+	qctx, aq := obs.ActiveQueries().Register(ctx, "test", "mismatched union")
+	defer aq.Finish()
+	qctx, root := obs.StartSpan(qctx, "test.union")
+	_, _, err = fed.QueryTraced(qctx, "SELECT sku FROM parts UNION SELECT sku, price FROM parts")
+	root.End()
+	if err == nil || !strings.Contains(err.Error(), "UNION branch 2 has 2 columns") {
+		t.Fatalf("mismatched union = %v", err)
+	}
+	spanFailed := false
+	for _, sp := range obs.DefaultTracer().Spans(root.TraceID) {
+		if sp.Name == "federation.union" && sp.Err != "" {
+			spanFailed = true
+		}
+	}
+	if !spanFailed {
+		t.Error("mismatched union left its span without an error")
+	}
+	stageFailed := false
+	for _, st := range aq.Stages().Snapshot() {
+		if st.Stage == "union" && st.Err != "" {
+			stageFailed = true
+		}
+	}
+	if !stageFailed {
+		t.Error("mismatched union left its stage without an error")
 	}
 }
 

@@ -14,18 +14,25 @@ import (
 	"cohera/internal/wrapper"
 )
 
-// SubQueryStream is SubQuery's streaming face: the same single-table
-// selection, but rows arrive through a pull-based stream instead of a
-// materialized result. Stored tables run the local engine's streaming
-// executor; wrapper-fronted tables stream from the source (over the
-// wire, when the source is remote) with site-side filtering and
-// projection applied row by row. limit caps delivered rows (< 0 means
-// unlimited) and is pushed into the scan when the source can stop
-// early. The site applies everything it is given — the federation
-// planner sends only what the site's PushCaps advertise and keeps the
-// residual. The admission gate, breaker accounting and cost model's
-// round-trip latency are charged at open; the site's latency histogram
-// observes open→Close wall clock.
+// SubQueryStream executes a single-table selection at the site:
+// SELECT <cols> FROM table WHERE <where>, with where referencing only
+// bare column names and cols nil meaning all columns. It is the unit
+// of work the federated executor ships to sites, and the site's only
+// read path; rows arrive through a pull-based stream the caller must
+// Close (storage.CollectRows materializes one). Stored tables run the
+// local engine's streaming executor; wrapper-fronted tables stream
+// from the source (over the wire, when the source is remote) with
+// site-side filtering and projection applied row by row. limit caps
+// delivered rows (< 0 means unlimited) and is pushed into the scan
+// when the source can stop early. The site applies everything it is
+// given — the federation planner sends only what the site's PushCaps
+// advertise and keeps the residual. The availability gate and the cost
+// model's round-trip latency are charged at open, where a failure also
+// moves the breaker; a stream that opened settles the breaker at Close
+// (failure if it died on a transient site fault, success otherwise),
+// and the site's latency histogram observes open→Close wall clock.
+// CostModel.PerRow feeds bids only (EstimateCost, the centralized
+// optimizer); nothing charges it at execution.
 func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.Expr, cols []string, limit int) (storage.RowStream, error) {
 	if err := s.CheckAvailable(ctx); err != nil {
 		return nil, err
@@ -45,9 +52,7 @@ func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.
 		st, err = s.streamStored(ctx, table, where, cols, limit)
 	}
 	if err == nil {
-		// Charge the round-trip latency up front; per-row simulated cost
-		// stays with the materialized path, where row counts are known.
-		err = s.simulateCost(ctx, 0)
+		err = s.simulateCost(ctx)
 	}
 	if err != nil {
 		if st != nil {
@@ -65,7 +70,7 @@ func (s *Site) SubQueryStream(ctx context.Context, table string, where sqlparse.
 	}
 	// Breaker accounting waits for Close: a stream that opens fine can
 	// still die mid-transfer, and that failure must move the breaker
-	// just like the materialized path's.
+	// just like a failed open.
 	return &siteStream{inner: st, site: s, ctx: ctx, sp: sp, start: start}, nil
 }
 
@@ -97,7 +102,6 @@ func (s *Site) streamStored(ctx context.Context, table string, where sqlparse.Ex
 // when the connector declined them — is fused right here, one row at a
 // time, before the stream leaves the site.
 func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlparse.Expr, cols []string, limit int) (storage.RowStream, error) {
-	def := src.Schema()
 	caps := src.Capabilities()
 	var filters []wrapper.Filter
 	for _, c := range plan.Conjuncts(where) {
@@ -139,17 +143,13 @@ func (s *Site) streamSource(ctx context.Context, src wrapper.Source, where sqlpa
 		fuse = true
 	}
 	if cols != nil && !applied.Cols {
-		var colIdx []int
-		for _, c := range cols {
-			ci := def.ColumnIndex(c)
-			if ci < 0 {
-				//lint:ignore errdrop the open is failing; close is best-effort cleanup
-				_ = st.Close()
-				return nil, fmt.Errorf("federation: source %s has no column %q", src.Name(), c)
-			}
-			colIdx = append(colIdx, ci)
+		idx, err := plan.ProjectIndexes(st.Columns(), cols)
+		if err != nil {
+			//lint:ignore errdrop the open is failing; close is best-effort cleanup
+			_ = st.Close()
+			return nil, fmt.Errorf("federation: source %s: %w", src.Name(), err)
 		}
-		spec.Project = colIdx
+		spec.Project = idx
 		fuse = true
 	}
 	if limit >= 0 && !applied.Limit {

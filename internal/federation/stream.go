@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,17 +63,20 @@ func (c *streamCounters) add(n int64) {
 }
 
 // scatter fans one global table's fragment subqueries out to producer
-// goroutines and returns the fan-in channel. The channel is closed
-// after every producer has sent its done message. canReplay permits
-// mid-stream failover to the next replica — sound only when the
-// consumer dedupes by primary key, since the replacement replica
-// replays rows the failed stream already shipped.
+// goroutines and returns the fan-in channel and the number of
+// producers. The channel is closed after every producer has sent its
+// done message. Fragments the pushed predicate provably excludes are
+// pruned here and counted on trace, before any producer runs.
+// canReplay permits mid-stream failover to the next replica — sound
+// only when the consumer dedupes by primary key, since the
+// replacement replica replays rows the failed stream already shipped.
 func (f *Federation) scatter(ctx context.Context, gt *GlobalTable, push sqlparse.Expr, cols []string,
-	limit int, batchRows int, canReplay bool, counters *streamCounters) (ch <-chan fragMsg, active, pruned int) {
+	limit int, batchRows int, canReplay bool, counters *streamCounters, trace *QueryTrace) (ch <-chan fragMsg, active int) {
 	var frags []*Fragment
 	for _, frag := range f.FragmentsOf(gt) {
 		if frag.Predicate != nil && push != nil && disjoint(frag.Predicate, push) {
-			pruned++
+			trace.PrunedFragments++
+			metPruned.Inc()
 			continue
 		}
 		frags = append(frags, frag)
@@ -92,7 +94,7 @@ func (f *Federation) scatter(ctx context.Context, gt *GlobalTable, push sqlparse
 		wg.Wait()
 		close(out)
 	}()
-	return out, len(frags), pruned
+	return out, len(frags)
 }
 
 // pumpFragment streams one fragment from its best available replica
@@ -213,11 +215,11 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 		if siteResid != nil || (cols != nil && siteCols == nil) {
 			spec := plan.FuseSpec{Where: siteResid, Limit: -1}
 			if cols != nil && siteCols == nil {
-				idx, perr := projectIdx(st.Columns(), cols)
+				idx, perr := plan.ProjectIndexes(st.Columns(), cols)
 				if perr != nil {
 					//lint:ignore errdrop the open already failed; close is best-effort cleanup
 					_ = st.Close()
-					finish(fragMsg{err: perr})
+					finish(fragMsg{err: fmt.Errorf("federation: shipped stream: %w", perr)})
 					return
 				}
 				spec.Project = idx
@@ -264,23 +266,43 @@ func (f *Federation) pumpFragment(ctx context.Context, gt *GlobalTable, frag *Fr
 	}
 }
 
-// projectIdx resolves the projected column names against a shipped
-// stream's column list, case-insensitively.
-func projectIdx(have, want []string) ([]int, error) {
-	idx := make([]int, len(want))
-	for i, w := range want {
-		idx[i] = -1
-		for j, h := range have {
-			if strings.EqualFold(h, w) {
-				idx[i] = j
-				break
-			}
+// noteFragment is the one fragment-completion accountant: it folds a
+// producer's done record into the query's trace and the shared
+// metrics, for the materialized gather and the streaming merge alike.
+// commit reports whether the fragment's rows belong in the result. A
+// fragment lost to unavailability under PartialResults is degraded
+// around (commit false, nil error): its typed error lands on the trace
+// and the live fragments still answer. Any other failure is returned
+// as the query's error. Only the fan-in's single consumer calls it,
+// which keeps QueryTrace race-free.
+func (f *Federation) noteFragment(ctx context.Context, trace *QueryTrace, gt *GlobalTable, m fragMsg) (commit bool, err error) {
+	trace.Failovers += m.fail
+	metFailovers.Add(int64(m.fail))
+	key := gt.Def.Name + "/" + m.frag.ID
+	if m.err != nil {
+		if f.PartialResults && isAvailabilityErr(m.err) && ctx.Err() == nil {
+			trace.noteFragmentError(key, m.err)
+			obs.MarkDegraded(ctx)
+			return false, nil
 		}
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("federation: shipped stream has no column %q", w)
-		}
+		return false, m.err
 	}
-	return idx, nil
+	trace.FragmentSites[key] = m.site.Name()
+	if m.stale {
+		trace.StaleServed = append(trace.StaleServed, key+"@"+m.site.Name())
+		metStaleReads.Inc()
+		obs.MarkStale(ctx)
+	}
+	// Shipping cost is what crossed the site boundary: the rows the
+	// site actually served (pre-residual) at the width it served them.
+	fullWidth := len(gt.Def.Columns)
+	metSiteRows(m.site.Name()).Add(int64(m.pushed))
+	trace.CellsShipped += m.pushed * m.width
+	trace.CellsWithoutPushdown += m.pushed * fullWidth
+	metCellsShipped.Add(int64(m.pushed * m.width))
+	metCellsSaved.Add(int64(m.pushed * (fullWidth - m.width)))
+	trace.notePushed(key, m.pushed, m.pushed-m.rows)
+	return true, nil
 }
 
 // cutByConsumer reports whether ctx ended because the stream's own
@@ -512,9 +534,7 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 	if sel.Limit >= 0 {
 		fragLimit = sel.Limit + sel.Offset
 	}
-	ch, active, pruned := f.scatter(sctx, gt, push, cols, fragLimit, batchRows, len(keyIdx) > 0, counters)
-	trace.PrunedFragments += pruned
-	metPruned.Add(int64(pruned))
+	ch, active := f.scatter(sctx, gt, push, cols, fragLimit, batchRows, len(keyIdx) > 0, counters, trace)
 
 	remain := -1
 	if sel.Limit >= 0 {
@@ -542,7 +562,7 @@ func (f *Federation) openSelectStream(ctx context.Context, sel sqlparse.SelectSt
 		f: f, ctx: ctx, cancel: cancel, sp: sp, start: time.Now(),
 		aq: aq, sql: sel.String(), limitStage: limitStage, mergeStage: mergeStage,
 		trace: trace, ch: ch, counters: counters,
-		table: gt.Def.Name, fullWidth: len(gt.Def.Columns),
+		gt:    gt,
 		where: where, items: bound, passthrough: passthrough,
 		cols: fedItemNames(items), keyIdx: keyIdx,
 		seen: make(map[string]bool), waiting: active,
@@ -632,8 +652,7 @@ type fedStream struct {
 	mergeStage *obs.StageStats  // rows arriving over the fan-in
 	limitRows  int64            // emitted rows not yet flushed to limitStage
 
-	table       string
-	fullWidth   int        // unprojected width, for pushdown accounting
+	gt          *GlobalTable
 	where       plan.Bound // WHERE re-check; nil when the statement has none
 	items       []plan.Bound
 	passthrough bool // items are the shipped columns in order
@@ -702,7 +721,9 @@ func (s *fedStream) Next() (storage.Row, error) {
 		}
 		if msg.done {
 			s.waiting--
-			s.noteDone(msg)
+			if _, err := s.f.noteFragment(s.ctx, s.trace, s.gt, msg); err != nil {
+				s.fail(err)
+			}
 			continue
 		}
 		s.consumeBatch(msg.batch)
@@ -756,39 +777,6 @@ func (s *fedStream) consumeBatch(b *storage.Batch) {
 		}
 		s.pending = append(s.pending, out)
 	}
-}
-
-// noteDone folds one fragment's completion record into the trace —
-// the single-consumer discipline that keeps QueryTrace race-free.
-func (s *fedStream) noteDone(m fragMsg) {
-	s.trace.Failovers += m.fail
-	metFailovers.Add(int64(m.fail))
-	if m.err != nil {
-		// Under PartialResults a fragment lost to unavailability is
-		// degraded around: its typed error lands on the trace and the
-		// live fragments still answer. Semantic errors always fail.
-		if s.f.PartialResults && isAvailabilityErr(m.err) && s.ctx.Err() == nil {
-			s.trace.noteFragmentError(s.table+"/"+m.frag.ID, m.err)
-			obs.MarkDegraded(s.ctx)
-			return
-		}
-		s.fail(m.err)
-		return
-	}
-	s.trace.FragmentSites[s.table+"/"+m.frag.ID] = m.site.Name()
-	if m.stale {
-		s.trace.StaleServed = append(s.trace.StaleServed, s.table+"/"+m.frag.ID+"@"+m.site.Name())
-		metStaleReads.Inc()
-		obs.MarkStale(s.ctx)
-	}
-	// Shipping cost is what crossed the site boundary: the rows the
-	// site actually served (pre-residual) at the width it served them.
-	metSiteRows(m.site.Name()).Add(int64(m.pushed))
-	s.trace.CellsShipped += m.pushed * m.width
-	s.trace.CellsWithoutPushdown += m.pushed * s.fullWidth
-	metCellsShipped.Add(int64(m.pushed * m.width))
-	metCellsSaved.Add(int64(m.pushed * (s.fullWidth - m.width)))
-	s.trace.notePushed(s.table+"/"+m.frag.ID, m.pushed, m.pushed-m.rows)
 }
 
 // finishEOF ends the stream after the last producer message — unless

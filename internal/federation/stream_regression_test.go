@@ -57,12 +57,12 @@ func (s *flakySource) Fetch(ctx context.Context, _ []wrapper.Filter) ([]storage.
 	return nil, errors.New("flaky source is stream-only")
 }
 
-func (s *flakySource) FetchStream(ctx context.Context, _ []wrapper.Filter) (storage.RowStream, error) {
+func (s *flakySource) FetchPushStream(ctx context.Context, _ []wrapper.Filter, _ wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
 	return &flakyStream{
-		cols:  wrapper.ColumnNames(s.def),
+		cols:  s.def.ColumnNames(),
 		rows:  s.rows,
 		onEnd: func() error { return s.onEnd(ctx) },
-	}, nil
+	}, wrapper.Applied{}, nil
 }
 
 // flakyFed builds a federation whose single "parts" fragment is served
@@ -191,7 +191,7 @@ func TestPartialResultsExcludesMidStreamFailedFragment(t *testing.T) {
 // TestBreakerRecordsMidStreamFailure asserts the streaming subquery
 // path charges mid-transfer deaths to the site's circuit breaker: a
 // site whose streams open fine but keep dying must trip open, exactly
-// like one whose materialized subqueries fail.
+// like one whose subqueries fail at open.
 func TestBreakerRecordsMidStreamFailure(t *testing.T) {
 	src := &flakySource{
 		def:  partsDef(),

@@ -3,7 +3,9 @@ package plan
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 
 	"cohera/internal/obs"
@@ -44,6 +46,26 @@ type FuseSpec struct {
 	// Stage, when non-nil, receives emitted-row counts and settles
 	// Done/Fail/Cut exactly like storage.InstrumentStream.
 	Stage *obs.StageStats
+}
+
+// ProjectIndexes resolves a projection by name into FuseSpec.Project
+// form: the index in have of each name in want, matched
+// case-insensitively. It fails on the first wanted name have lacks.
+func ProjectIndexes(have, want []string) ([]int, error) {
+	idx := make([]int, len(want))
+	for i, w := range want {
+		idx[i] = -1
+		for j, h := range have {
+			if strings.EqualFold(h, w) {
+				idx[i] = j
+				break
+			}
+		}
+		if idx[i] < 0 {
+			return nil, fmt.Errorf("no column %q", w)
+		}
+	}
+	return idx, nil
 }
 
 // FusedStream is the decorator FuseStream returns. RowsIn/RowsOut

@@ -96,7 +96,7 @@ func admittedServer(t *testing.T, cfg admission.Config) (*Server, *httptest.Serv
 }
 
 // TestServerShedsDataPlaneWith429: past the tenant's rate the server
-// answers /fetch with 429 + Retry-After; the round trip comes back to
+// answers /fetchstream with 429 + Retry-After; the round trip comes back to
 // the caller as the same typed error a local gate would produce, with
 // the wire tenant honored. Control-plane endpoints stay ungated.
 func TestServerShedsDataPlaneWith429(t *testing.T) {
@@ -108,10 +108,10 @@ func TestServerShedsDataPlaneWith429(t *testing.T) {
 	c := Dial(ts.URL, "")
 	ctx := admission.WithTenant(context.Background(), "acme")
 	body := []byte(`{"table":"t"}`)
-	if _, err := c.do(ctx, http.MethodPost, "/fetch", body, true); err != nil {
+	if _, err := c.do(ctx, http.MethodPost, "/fetchstream", body, true); err != nil {
 		t.Fatalf("first fetch within burst: %v", err)
 	}
-	_, err := c.do(ctx, http.MethodPost, "/fetch", body, true)
+	_, err := c.do(ctx, http.MethodPost, "/fetchstream", body, true)
 	if !errors.Is(err, admission.ErrOverloaded) {
 		t.Fatalf("over-rate fetch = %v, want ErrOverloaded", err)
 	}
@@ -124,7 +124,7 @@ func TestServerShedsDataPlaneWith429(t *testing.T) {
 	}
 	// Another tenant has its own bucket.
 	other := admission.WithTenant(context.Background(), "other")
-	if _, err := c.do(other, http.MethodPost, "/fetch", body, true); err != nil {
+	if _, err := c.do(other, http.MethodPost, "/fetchstream", body, true); err != nil {
 		t.Fatalf("other tenant shed by acme's bucket: %v", err)
 	}
 	// The control plane (health, schema discovery) is never shed.
@@ -150,7 +150,7 @@ func TestServerQueuesUnderWindowPressure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.do(context.Background(), http.MethodPost, "/fetch", body, true); err != nil {
+			if _, err := c.do(context.Background(), http.MethodPost, "/fetchstream", body, true); err != nil {
 				errs <- err
 			}
 		}()

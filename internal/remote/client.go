@@ -89,10 +89,16 @@ func WithStreamBatch(n int) DialOption {
 }
 
 // WithRetry installs a retry policy for idempotent reads (Tables,
-// Fetch, Healthy). Transport failures and 5xx responses are retried
-// with capped exponential backoff and full jitter; 4xx responses are
-// the caller's fault and fail immediately. Writes are never retried:
-// a blindly replayed non-idempotent statement could apply twice.
+// Digest, Healthy, and Source.Fetch). Transport failures and 5xx
+// responses are retried with capped exponential backoff and full
+// jitter; 4xx responses are the caller's fault and fail immediately,
+// and 429 sheds come back typed without a retry. A Source.Fetch
+// attempt is the stream's open plus its full drain, so a transfer that
+// breaks mid-body is retried whole: the failed attempt returned no
+// rows to the caller, so nothing can be doubled. Streams opened with
+// FetchPushStream are never retried (their rows are already with the
+// caller), and writes are never retried: a blindly replayed
+// non-idempotent statement could apply twice.
 func WithRetry(r resilience.Retry) DialOption {
 	return func(c *Client) { c.retry = &r }
 }
@@ -170,31 +176,38 @@ func shedError(ctx context.Context, method, path string, h http.Header) error {
 	return fmt.Errorf("remote: %s %s: %w", method, path, oe)
 }
 
-// do performs one client call. idempotent calls run under the client's
-// retry policy (when one is installed); non-idempotent calls get
-// exactly one attempt regardless.
+// do performs one client call under the retry policy retrying picks
+// for it.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, idempotent bool) ([]byte, error) {
-	if c.retry == nil || !idempotent {
-		return c.doOnce(ctx, method, path, body)
-	}
-	r := *c.retry
-	prev := r.OnRetry
-	r.OnRetry = func(attempt int, err error, delay time.Duration) {
-		metClientRetries.Inc()
-		if prev != nil {
-			prev(attempt, err, delay)
-		}
-	}
 	var out []byte
-	err := r.Run(ctx, func(ctx context.Context) error {
+	err := c.retrying(ctx, idempotent, func(ctx context.Context) error {
 		var opErr error
 		out, opErr = c.doOnce(ctx, method, path, body)
 		return opErr
-	}, retryableError)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// retrying runs one attempt function under the client's retry policy
+// when the operation is idempotent and a policy is installed, and
+// exactly once otherwise. Each retry beyond the first attempt advances
+// cohera_remote_client_retries_total.
+func (c *Client) retrying(ctx context.Context, idempotent bool, attempt func(context.Context) error) error {
+	if c.retry == nil || !idempotent {
+		return attempt(ctx)
+	}
+	r := *c.retry
+	prev := r.OnRetry
+	r.OnRetry = func(n int, err error, delay time.Duration) {
+		metClientRetries.Inc()
+		if prev != nil {
+			prev(n, err, delay)
+		}
+	}
+	return r.Run(ctx, attempt, retryableError)
 }
 
 // doOnce is a single client call attempt.
@@ -341,38 +354,28 @@ func (s *Source) Schema() *schema.Table { return s.def }
 // Capabilities implements wrapper.Source.
 func (s *Source) Capabilities() wrapper.Capabilities { return s.caps }
 
-// Fetch implements wrapper.Source: pushable filters travel to the
-// server; the caller re-checks everything as usual.
+// Fetch implements wrapper.Source as a drain of FetchPushStream with
+// nothing pushed: pushable filters travel to the server and every
+// filter is re-checked on the decoded rows. Each attempt (the open plus
+// the full drain) runs under the client's retry policy and is bounded
+// by the client's whole-call timeout.
 func (s *Source) Fetch(ctx context.Context, filters []wrapper.Filter) ([]storage.Row, error) {
-	ctx, sp := obs.StartSpan(ctx, "remote.fetch")
-	sp.Set("table", s.def.Name)
-	defer sp.End()
-	req := fetchRequest{Table: s.def.Name}
-	for _, f := range filters {
-		if s.caps.CanPush(f.Column) {
-			req.Filters = append(req.Filters, wireFilter{Column: f.Column, Value: encodeValue(f.Value)})
+	var rows []storage.Row
+	err := s.client.retrying(ctx, true, func(ctx context.Context) error {
+		if d := s.client.http.Timeout; d > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, d)
+			defer cancel()
 		}
-	}
-	body, err := json.Marshal(req)
+		st, _, err := s.FetchPushStream(ctx, filters, wrapper.Pushdown{})
+		if err != nil {
+			return err
+		}
+		rows, err = storage.CollectRows(st)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := s.client.do(ctx, http.MethodPost, "/fetch", body, true)
-	if err != nil {
-		sp.SetErr(err)
-		return nil, err
-	}
-	var resp fetchResponse
-	if err := json.Unmarshal(out, &resp); err != nil {
-		sp.SetErr(err)
-		return nil, fmt.Errorf("remote: decoding /fetch: %w", err)
-	}
-	rows, err := decodeRows(resp.Rows)
-	if err != nil {
-		sp.SetErr(err)
-		return nil, err
-	}
-	sp.Set("rows", strconv.Itoa(len(rows)))
-	// Re-apply all filters locally: the server only handled pushable ones.
-	return wrapper.ApplyFilters(s.def, rows, filters), nil
+	return rows, nil
 }

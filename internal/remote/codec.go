@@ -205,20 +205,10 @@ func decodeSchema(ws wireSchema) (*schema.Table, error) {
 	return schema.NewTable(ws.Name, cols, ws.Key...)
 }
 
-// fetchRequest is the body of POST /fetch.
-type fetchRequest struct {
-	Table   string       `json:"table"`
-	Filters []wireFilter `json:"filters,omitempty"`
-}
-
+// wireFilter is one pushed equality filter of a /fetchstream request.
 type wireFilter struct {
 	Column string    `json:"column"`
 	Value  wireValue `json:"value"`
-}
-
-// fetchResponse is the body returned by POST /fetch.
-type fetchResponse struct {
-	Rows [][]wireValue `json:"rows"`
 }
 
 // digestRequest is the body of POST /digest.

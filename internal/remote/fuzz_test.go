@@ -12,7 +12,6 @@ import (
 	"cohera/internal/schema"
 	"cohera/internal/storage"
 	"cohera/internal/value"
-	"cohera/internal/wrapper"
 )
 
 // fuzzedDef is the schema the stream decoder fuzz target reads against.
@@ -55,7 +54,7 @@ func fuzzStream(body []byte, frames bool) *clientStream {
 	metStreamInflight("client").Add(1)
 	return &clientStream{
 		def:  fuzzedDef,
-		cols: wrapper.ColumnNames(fuzzedDef),
+		cols: fuzzedDef.ColumnNames(),
 		body: io.NopCloser(bytes.NewReader(nil)),
 		dec:  newChunkDecoder(bytes.NewReader(body), ct),
 		sp:   sp,

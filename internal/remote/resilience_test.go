@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cohera/internal/admission"
 	"cohera/internal/fault"
 	"cohera/internal/resilience"
 )
@@ -147,5 +148,62 @@ func TestClientRetryRespectsContext(t *testing.T) {
 	}
 	if hits.Load() >= 100 {
 		t.Fatal("cancellation should not burn the whole attempt budget")
+	}
+}
+
+// TestSourceFetchRetriesWholeDrain: Source.Fetch drains the push
+// stream, and each attempt (open plus drain) runs under WithRetry. A
+// transport that drops the first two requests is absorbed with four
+// attempts and surfaces, typed, without a retry policy.
+func TestSourceFetchRetriesWholeDrain(t *testing.T) {
+	srv := NewServer()
+	srv.PublishTable(numbersTable(t, 20), "id")
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	discovered := streamSource(t, ts)
+	faulty := func(name string, opts ...DialOption) *Source {
+		inj := fault.New(name, fault.Config{FailFirst: 2, Seed: 1})
+		opts = append(opts, WithTransport(&fault.RoundTripper{Injector: inj}))
+		return &Source{client: Dial(ts.URL, "", opts...), def: discovered.def, caps: discovered.caps}
+	}
+
+	before := metClientRetries.Value()
+	src := faulty("fetch-rt", WithRetry(resilience.Retry{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}))
+	rows, err := src.Fetch(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("retry should absorb two dropped requests: %v", err)
+	}
+	if len(rows) != 20 {
+		t.Fatalf("Fetch returned %d rows, want 20", len(rows))
+	}
+	if got := metClientRetries.Value() - before; got != 2 {
+		t.Fatalf("retry counter advanced by %d, want 2", got)
+	}
+
+	if _, err := faulty("fetch-rt2").Fetch(context.Background(), nil); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("without a retry policy want fault.ErrInjected, got %v", err)
+	}
+}
+
+// TestSourceFetchDoesNotRetryShed: a 429 from the server's admission
+// gate comes back from Source.Fetch as the typed overload error, on the
+// first attempt, even with a retry policy installed.
+func TestSourceFetchDoesNotRetryShed(t *testing.T) {
+	_, ts := admittedServer(t, admission.Config{MaxInFlight: 4, TenantRate: 1, TenantBurst: 1,
+		Clock: func() time.Time { return time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC) }})
+	discovered := streamSource(t, ts)
+	c := Dial(ts.URL, "", WithRetry(resilience.Retry{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}))
+	src := &Source{client: c, def: discovered.def, caps: discovered.caps}
+	ctx := admission.WithTenant(context.Background(), "acme")
+	if _, err := src.Fetch(ctx, nil); err != nil {
+		t.Fatalf("first fetch within burst: %v", err)
+	}
+	before := metClientRetries.Value()
+	_, err := src.Fetch(ctx, nil)
+	if oe, ok := admission.AsOverload(err); !ok || oe.Reason != "remote-tenant-rate" {
+		t.Fatalf("over-rate fetch = %v, want typed remote-tenant-rate overload", err)
+	}
+	if got := metClientRetries.Value() - before; got != 0 {
+		t.Fatalf("a shed was retried %d times", got)
 	}
 }

@@ -24,7 +24,7 @@ import (
 // cannot grow the label space without bound.
 func metServerReqs(path, class string) *obs.Counter {
 	switch path {
-	case "/healthz", "/tables", "/fetch", "/fetchstream", "/digest", "/debug/replication":
+	case "/healthz", "/tables", "/fetchstream", "/digest", "/debug/replication":
 	default:
 		path = "other"
 	}
@@ -40,7 +40,6 @@ var metServerSeconds = obs.Default().Histogram("cohera_remote_server_seconds",
 // stored tables, wrapped ERPs, even other federations' views) over HTTP:
 //
 //	GET  /tables             → JSON list of wireSchema
-//	POST /fetch              → {table, filters[]} → {rows}
 //	POST /fetchstream        → {table, filters[], batch_rows, codec} → binary frames or NDJSON chunks
 //	POST /digest             → {table} → {hash, rows} content digest
 //	GET  /debug/replication  → per-table digests for operator comparison
@@ -64,8 +63,8 @@ type Server struct {
 	// Compatibility-fallback tests flip it; like Token it must be set
 	// before serving.
 	DisablePushdown bool
-	// Admission, when set, gates the data-plane endpoints (/fetch and
-	// /fetchstream): requests past the site's capacity are refused with
+	// Admission, when set, gates the data-plane endpoint
+	// (/fetchstream): requests past the site's capacity are refused with
 	// HTTP 429 plus a Retry-After header instead of queueing without
 	// bound. The tenant arrives in the X-Cohera-Tenant header; a
 	// /fetchstream slot is held for the whole transfer, so a slow
@@ -136,13 +135,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(sw, "ok")
 	case r.Method == http.MethodGet && r.URL.Path == "/tables":
 		s.handleTables(sw)
-	case r.Method == http.MethodPost && r.URL.Path == "/fetch":
-		release, ok := s.admit(sw, r)
-		if !ok {
-			return
-		}
-		defer release()
-		s.handleFetch(sw, r)
 	case r.Method == http.MethodPost && r.URL.Path == "/fetchstream":
 		// The stream handler writes the entire transfer before
 		// returning, so deferring the release holds the admission slot
@@ -231,50 +223,6 @@ func (s *Server) handleTables(w http.ResponseWriter) {
 	s.mu.RUnlock()
 	w.Header().Set("Content-Type", "application/json")
 	if err := writeJSON(w, out); err != nil {
-		http.Error(w, `{"error":"encode failure"}`, http.StatusInternalServerError)
-	}
-}
-
-func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, `{"error":"bad body"}`, http.StatusBadRequest)
-		return
-	}
-	var req fetchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, `{"error":"bad json"}`, http.StatusBadRequest)
-		return
-	}
-	s.mu.RLock()
-	src, ok := s.sources[strings.ToLower(req.Table)]
-	s.mu.RUnlock()
-	if !ok {
-		w.WriteHeader(http.StatusNotFound)
-		//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
-		_ = writeJSON(w, errorResponse{Error: fmt.Sprintf("no table %q", req.Table)})
-		return
-	}
-	var filters []wrapper.Filter
-	for _, wf := range req.Filters {
-		v, err := decodeValue(wf.Value)
-		if err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
-			_ = writeJSON(w, errorResponse{Error: err.Error()})
-			return
-		}
-		filters = append(filters, wrapper.Filter{Column: wf.Column, Value: v})
-	}
-	rows, err := src.Fetch(r.Context(), filters)
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		//lint:ignore errdrop the status line is already committed; nothing useful can be done with an encode failure
-		_ = writeJSON(w, errorResponse{Error: err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := writeJSON(w, fetchResponse{Rows: encodeRows(rows)}); err != nil {
 		http.Error(w, `{"error":"encode failure"}`, http.StatusInternalServerError)
 	}
 }

@@ -24,25 +24,6 @@ import (
 	"cohera/internal/wrapper"
 )
 
-// streamProjection maps requested column names onto a stream's column
-// order, case-insensitively.
-func streamProjection(have, want []string) ([]int, error) {
-	idx := make([]int, len(want))
-	for i, w := range want {
-		idx[i] = -1
-		for j, h := range have {
-			if strings.EqualFold(h, w) {
-				idx[i] = j
-				break
-			}
-		}
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("remote: pushed projection column %q not in stream", w)
-		}
-	}
-	return idx, nil
-}
-
 // The chunked-transfer wire format: POST /fetchstream answers with a
 // sequence of chunks — a pushdown ack, a batch of rows, a mid-stream
 // error, or the eof terminator — in one of two codecs:
@@ -460,8 +441,9 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 			fuse = true
 		}
 		if push.Cols != nil && !applied.Cols {
-			idx, ierr := streamProjection(st.Columns(), push.Cols)
+			idx, ierr := plan.ProjectIndexes(st.Columns(), push.Cols)
 			if ierr != nil {
+				ierr = fmt.Errorf("remote: pushed projection: %w", ierr)
 				//lint:ignore errdrop the request is being rejected; close is best-effort cleanup
 				_ = st.Close()
 				w.WriteHeader(http.StatusBadRequest)
@@ -576,27 +558,17 @@ func (s *Server) handleFetchStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// FetchStream implements wrapper.StreamingSource over POST
-// /fetchstream. The returned stream holds the response body open and
-// decodes chunks on demand, so client-side memory is one chunk
-// regardless of result size. Streaming calls are never retried — a
-// replayed stream could double rows already consumed; failover belongs
-// to the federation layer, which can dedupe by primary key.
-func (s *Source) FetchStream(ctx context.Context, filters []wrapper.Filter) (storage.RowStream, error) {
-	st, _, err := s.fetchPushStream(ctx, filters, wrapper.Pushdown{})
-	return st, err
-}
-
 // FetchPushStream implements wrapper.PushStreamingSource: the pushed
 // σ/π/limit travel as /fetchstream request fields. The first response
 // chunk is the server's ack; a server too old to know the fields sends
 // none, the receipt comes back all-false, and the caller re-evaluates
 // locally — full-width unfiltered rows, exactly the pre-push behavior.
+// The returned stream holds the response body open and decodes chunks
+// on demand, so client-side memory is one chunk regardless of result
+// size. A stream is never retried — a replayed stream could double
+// rows already consumed; failover belongs to the federation layer,
+// which can dedupe by primary key.
 func (s *Source) FetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
-	return s.fetchPushStream(ctx, filters, push)
-}
-
-func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, push wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
 	ctx, sp := obs.StartSpan(ctx, "remote.fetchstream")
 	sp.Set("table", s.def.Name)
 	req := streamRequest{Table: s.def.Name, BatchRows: s.client.streamBatch, Codec: streamCodecFrames}
@@ -673,7 +645,7 @@ func (s *Source) fetchPushStream(ctx context.Context, filters []wrapper.Filter, 
 	_, stage := obs.StartStage(ctx, "remote.decode", s.def.Name)
 	cs := &clientStream{
 		def:     s.def,
-		cols:    wrapper.ColumnNames(s.def),
+		cols:    s.def.ColumnNames(),
 		filters: local,
 		body:    resp.Body,
 		dec:     newChunkDecoder(resp.Body, resp.Header.Get("Content-Type")),

@@ -52,21 +52,29 @@ func streamSource(t *testing.T, hs *httptest.Server, opts ...DialOption) *Source
 	return srcs[0].(*Source)
 }
 
+// fetchStream opens a stream from src with nothing pushed.
+func fetchStream(ctx context.Context, src *Source, filters []wrapper.Filter) (storage.RowStream, error) {
+	st, _, err := src.FetchPushStream(ctx, filters, wrapper.Pushdown{})
+	return st, err
+}
+
 // TestFetchStreamRoundTrip asserts the streaming path returns exactly
-// the rows the one-shot path does, across multiple chunks.
+// the published table's rows, as a multiset, across multiple chunks.
 func TestFetchStreamRoundTrip(t *testing.T) {
 	srv := NewServer()
 	srv.StreamBatchRows = 7 // force many chunks for 100 rows
-	srv.PublishTable(numbersTable(t, 100), "id")
+	tbl := numbersTable(t, 100)
+	srv.PublishTable(tbl, "id")
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	src := streamSource(t, hs)
 
-	want, err := src.Fetch(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := src.FetchStream(context.Background(), nil)
+	want := make(map[string]int)
+	tbl.Scan(func(_ int64, r storage.Row) bool {
+		want[string(value.AppendRowKey(nil, r))]++
+		return true
+	})
+	st, err := fetchStream(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +85,15 @@ func TestFetchStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("stream %d rows, fetch %d", len(rows), len(want))
+	if len(rows) != tbl.Len() {
+		t.Fatalf("stream %d rows, table %d", len(rows), tbl.Len())
 	}
-	for i := range rows {
-		if rows[i][0].Int() != want[i][0].Int() {
-			t.Fatalf("row %d: stream %v, fetch %v", i, rows[i], want[i])
+	for _, r := range rows {
+		k := string(value.AppendRowKey(nil, r))
+		if want[k] == 0 {
+			t.Fatalf("stream row %v is not in the table (or arrived too often)", r)
 		}
+		want[k]--
 	}
 }
 
@@ -97,7 +107,7 @@ func TestFetchStreamPushdownAndRecheck(t *testing.T) {
 	src := streamSource(t, hs)
 
 	// "bucket" is not pushable: the client must re-check it locally.
-	st, err := src.FetchStream(context.Background(), []wrapper.Filter{
+	st, err := fetchStream(context.Background(), src, []wrapper.Filter{
 		{Column: "bucket", Value: value.NewInt(3)},
 	})
 	if err != nil {
@@ -111,7 +121,7 @@ func TestFetchStreamPushdownAndRecheck(t *testing.T) {
 		t.Fatalf("bucket filter: got %d rows, want 10", len(rows))
 	}
 	// "id" is pushable.
-	st, err = src.FetchStream(context.Background(), []wrapper.Filter{
+	st, err = fetchStream(context.Background(), src, []wrapper.Filter{
 		{Column: "id", Value: value.NewInt(7)},
 	})
 	if err != nil {
@@ -136,7 +146,7 @@ func TestFetchStreamReuseAfterClose(t *testing.T) {
 	defer hs.Close()
 	src := streamSource(t, hs)
 
-	st, err := src.FetchStream(context.Background(), nil)
+	st, err := fetchStream(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +180,7 @@ func TestFetchStreamTruncation(t *testing.T) {
 	defer hs.Close()
 	src := streamSource(t, hs)
 
-	st, err := src.FetchStream(context.Background(), nil)
+	st, err := fetchStream(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestFetchStreamServerError(t *testing.T) {
 	defer hs.Close()
 	src := streamSource(t, hs)
 
-	st, err := src.FetchStream(context.Background(), nil)
+	st, err := fetchStream(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +241,7 @@ func TestFetchStreamNotFound(t *testing.T) {
 	src.def = schema.MustTable("ghosts", []schema.Column{
 		{Name: "id", Kind: value.KindInt, NotNull: true},
 	}, "id")
-	if _, err := src.FetchStream(context.Background(), nil); err == nil {
+	if _, err := fetchStream(context.Background(), src, nil); err == nil {
 		t.Fatal("expected open error for unknown table")
 	}
 }
@@ -312,7 +322,7 @@ func TestStreamCodecNegotiation(t *testing.T) {
 				return
 			}
 			// The real client asks for frames and follows the answer.
-			st, err := streamSource(t, hs).FetchStream(context.Background(), nil)
+			st, err := fetchStream(context.Background(), streamSource(t, hs), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +370,7 @@ func TestFrameStreamFailuresAreTyped(t *testing.T) {
 				_, _ = w.Write(tc.body)
 			}))
 			defer hs.Close()
-			st, err := streamSource(t, hs).FetchStream(context.Background(), nil)
+			st, err := fetchStream(context.Background(), streamSource(t, hs), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,8 +406,8 @@ func (b brokenSource) Capabilities() wrapper.Capabilities { return wrapper.Capab
 func (b brokenSource) Fetch(context.Context, []wrapper.Filter) ([]storage.Row, error) {
 	return nil, errors.New("disk on fire")
 }
-func (b brokenSource) FetchStream(context.Context, []wrapper.Filter) (storage.RowStream, error) {
-	return &brokenStream{cols: wrapper.ColumnNames(b.def), left: b.rows}, nil
+func (b brokenSource) FetchPushStream(context.Context, []wrapper.Filter, wrapper.Pushdown) (storage.RowStream, wrapper.Applied, error) {
+	return &brokenStream{cols: b.def.ColumnNames(), left: b.rows}, wrapper.Applied{}, nil
 }
 
 type brokenStream struct {
@@ -424,7 +434,7 @@ func TestFrameServerFailuresSurfaceTyped(t *testing.T) {
 	srv.Publish(brokenSource{def: numbersTable(t, 0).Def(), rows: 3})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	st, err := streamSource(t, hs).FetchStream(context.Background(), nil)
+	st, err := fetchStream(context.Background(), streamSource(t, hs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,14 +455,14 @@ func TestFrameServerFailuresSurfaceTyped(t *testing.T) {
 		Clock: func() time.Time { return time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC) }})
 	src := streamSource(t, ts)
 	ctx := admission.WithTenant(context.Background(), "acme")
-	first, err := src.FetchStream(ctx, nil)
+	first, err := fetchStream(ctx, src, nil)
 	if err != nil {
 		t.Fatalf("first stream within burst: %v", err)
 	}
 	if _, err := storage.CollectRows(first); err != nil {
 		t.Fatal(err)
 	}
-	_, err = src.FetchStream(ctx, nil)
+	_, err = fetchStream(ctx, src, nil)
 	if oe, ok := admission.AsOverload(err); !ok || oe.Reason != "remote-tenant-rate" || oe.RetryAfter <= 0 {
 		t.Fatalf("over-rate stream = %v, want typed remote-tenant-rate overload", err)
 	}

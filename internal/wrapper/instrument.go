@@ -42,29 +42,6 @@ func Instrument(src Source) Source {
 	return &instrumented{Source: src}
 }
 
-// FetchStream implements StreamingSource: it opens the underlying
-// source's stream (native or adapted) and counts rows as they flow, so
-// streaming fetches show up in the same metrics as materialized ones.
-func (s *instrumented) FetchStream(ctx context.Context, filters []Filter) (storage.RowStream, error) {
-	ctx, sp := obs.StartSpan(ctx, "wrapper.fetchstream")
-	sp.Set("source", s.Source.Name())
-	table := s.Source.Schema().Name
-	ctx, stage := obs.StartStage(ctx, "wrapper.fetch", table)
-	start := time.Now()
-	st, err := OpenStream(ctx, s.Source, filters)
-	if err != nil {
-		metFetchSeconds.Observe(time.Since(start))
-		metFetches(table, "error").Inc()
-		stage.Fail(err)
-		sp.SetErr(err)
-		sp.End()
-		return nil, err
-	}
-	metFetches(table, "ok").Inc()
-	return &countedStream{RowStream: storage.InstrumentStream(st, stage, storage.TimingSample),
-		sp: sp, stage: stage, start: start}, nil
-}
-
 // countedStream forwards a stream while feeding the wrapper fetch
 // metrics; the span and latency histogram settle at Close, when the
 // stream's true extent is known.

@@ -7,7 +7,6 @@ import (
 
 	"cohera/internal/obs"
 	"cohera/internal/plan"
-	"cohera/internal/schema"
 	"cohera/internal/sqlparse"
 	"cohera/internal/storage"
 )
@@ -58,28 +57,19 @@ type PushStreamingSource interface {
 }
 
 // OpenPushStream opens a stream from src with push applied when the
-// source supports it, falling back to the plain streaming path with an
-// all-false receipt otherwise. The caller owns the returned stream and
-// the residual evaluation of anything the receipt disclaims.
+// source supports it. A source without a push-capable stream is read
+// with Fetch and replayed as a stream under an all-false receipt. The
+// caller owns the returned stream and the residual evaluation of
+// anything the receipt disclaims.
 func OpenPushStream(ctx context.Context, src Source, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
 	if ps, ok := src.(PushStreamingSource); ok {
 		return ps.FetchPushStream(ctx, filters, push)
 	}
-	st, err := OpenStream(ctx, src, filters)
-	return st, Applied{}, err
-}
-
-// projectIndexes maps requested column names to schema indexes.
-func projectIndexes(def *schema.Table, cols []string) ([]int, error) {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		ci := def.ColumnIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("wrapper: pushed projection column %q not in schema %q", c, def.Name)
-		}
-		idx[i] = ci
+	rows, err := src.Fetch(ctx, filters)
+	if err != nil {
+		return nil, Applied{}, err
 	}
-	return idx, nil
+	return storage.NewSliceStream(src.Schema().ColumnNames(), rows), Applied{}, nil
 }
 
 // FetchPushStream implements PushStreamingSource: the gateway stands in
@@ -91,9 +81,10 @@ func projectIndexes(def *schema.Table, cols []string) ([]int, error) {
 func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
 	var project []int
 	if push.Cols != nil {
-		idx, err := projectIndexes(s.table.Def(), push.Cols)
+		def := s.table.Def()
+		idx, err := plan.ProjectIndexes(def.ColumnNames(), push.Cols)
 		if err != nil {
-			return nil, Applied{}, err
+			return nil, Applied{}, fmt.Errorf("wrapper: pushed projection on schema %q: %w", def.Name, err)
 		}
 		project = idx
 	}
@@ -122,7 +113,8 @@ func (s *ERPSource) FetchPushStream(ctx context.Context, filters []Filter, push 
 // FetchPushStream implements PushStreamingSource for the instrumented
 // decorator: the underlying source's push support (or lack of it) shows
 // through, so Instrument never silently downgrades a push-capable
-// source. Metrics and spans match FetchStream.
+// source. Rows are counted as they flow, and the span and latency
+// settle at Close, so streamed reads feed the same metrics as Fetch.
 func (s *instrumented) FetchPushStream(ctx context.Context, filters []Filter, push Pushdown) (storage.RowStream, Applied, error) {
 	ctx, sp := obs.StartSpan(ctx, "wrapper.fetchstream")
 	sp.Set("source", s.Source.Name())

@@ -236,9 +236,9 @@ func TestERPStreamOpenErrorReturnsNilStream(t *testing.T) {
 	src.SetLatency(time.Hour)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := src.FetchStream(ctx, nil)
-	if err == nil || st != nil {
-		t.Fatalf("FetchStream on a canceled context = %v, %v; want nil, error", st, err)
+	rows, err := src.Fetch(ctx, nil)
+	if err == nil || rows != nil {
+		t.Fatalf("Fetch on a canceled context = %v, %v; want nil, error", rows, err)
 	}
 	pst, _, err := src.FetchPushStream(ctx, nil, Pushdown{Limit: 1})
 	if err == nil || pst != nil {

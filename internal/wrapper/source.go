@@ -12,7 +12,13 @@
 //     direct access to systems like SAP.
 //
 // Every connector implements Source, the uniform fetch-on-demand
-// interface the federation layer consumes.
+// interface. The federation reads every source through OpenPushStream:
+// connectors that stream natively (the ERP gateway, remote tables)
+// implement PushStreamingSource and report what they applied of a
+// pushed σ/π/limit in an Applied receipt; materialized connectors
+// (CSV, HTML, XML, static, function) are read with Fetch and replayed
+// as a stream under an empty receipt. A streaming connector's Fetch is
+// a drain of its own stream, so each source has one read path.
 package wrapper
 
 import (
@@ -95,35 +101,33 @@ func parseInto(def *schema.Table, column, raw string) (value.Value, error) {
 	return v, nil
 }
 
-// ApplyFilters post-filters rows by the equality filters — used by
+// applyFilters post-filters rows by the equality filters — used by
 // sources without remote filtering, and to re-check pushed filters.
-// Exposed for connectors built outside this package (e.g. the remote
-// federation client).
-func ApplyFilters(def *schema.Table, rows []storage.Row, filters []Filter) []storage.Row {
-	return applyFilters(def, rows, filters)
-}
-
 func applyFilters(def *schema.Table, rows []storage.Row, filters []Filter) []storage.Row {
 	if len(filters) == 0 {
 		return rows
 	}
 	out := rows[:0]
 	for _, r := range rows {
-		keep := true
-		for _, f := range filters {
-			ci := def.ColumnIndex(f.Column)
-			if ci < 0 {
-				continue
-			}
-			c, err := r[ci].Compare(f.Value)
-			if err != nil || c != 0 {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		if matchesFilters(def, r, filters) {
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// matchesFilters reports whether one row passes every equality filter;
+// filters on columns the schema lacks are ignored.
+func matchesFilters(def *schema.Table, r storage.Row, filters []Filter) bool {
+	for _, f := range filters {
+		ci := def.ColumnIndex(f.Column)
+		if ci < 0 {
+			continue
+		}
+		c, err := r[ci].Compare(f.Value)
+		if err != nil || c != 0 {
+			return false
+		}
+	}
+	return true
 }

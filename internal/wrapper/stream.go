@@ -11,70 +11,6 @@ import (
 	"cohera/internal/storage"
 )
 
-// StreamingSource is the optional streaming face of a connector. Sources
-// that can produce rows incrementally implement it; everything else is
-// adapted through OpenStream, so the federation programs against streams
-// regardless of what a connector can do natively.
-type StreamingSource interface {
-	Source
-	// FetchStream retrieves rows as a pull-based stream. The same filter
-	// contract as Fetch applies: pushable filters cut transfer, the
-	// caller may re-check. The caller must Close the stream.
-	FetchStream(ctx context.Context, filters []Filter) (storage.RowStream, error)
-}
-
-// OpenStream fetches from src as a stream, using the native streaming
-// path when the source has one and falling back to a materialized fetch
-// wrapped as a stream otherwise.
-func OpenStream(ctx context.Context, src Source, filters []Filter) (storage.RowStream, error) {
-	if ss, ok := src.(StreamingSource); ok {
-		return ss.FetchStream(ctx, filters)
-	}
-	rows, err := src.Fetch(ctx, filters)
-	if err != nil {
-		return nil, err
-	}
-	return storage.NewSliceStream(ColumnNames(src.Schema()), rows), nil
-}
-
-// ColumnNames lists a schema's column names in declaration order — the
-// Columns() value for streams carrying that schema's rows.
-func ColumnNames(def *schema.Table) []string {
-	out := make([]string, len(def.Columns))
-	for i, c := range def.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
-// matchesFilters is the per-row form of applyFilters, for streaming
-// paths that never hold a row slice.
-func matchesFilters(def *schema.Table, r storage.Row, filters []Filter) bool {
-	for _, f := range filters {
-		ci := def.ColumnIndex(f.Column)
-		if ci < 0 {
-			continue
-		}
-		c, err := r[ci].Compare(f.Value)
-		if err != nil || c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// FetchStream implements StreamingSource: the gateway walks an id
-// snapshot and fetches rows lazily, so a slow or LIMIT-terminated
-// consumer never forces the whole table into memory. Pushed equality
-// filters use the table's indexes exactly like Fetch.
-func (s *ERPSource) FetchStream(ctx context.Context, filters []Filter) (storage.RowStream, error) {
-	st, err := s.openTableStream(ctx, filters)
-	if err != nil {
-		return nil, err // not st: a nil *tableStream is a non-nil RowStream
-	}
-	return st, nil
-}
-
 // openTableStream charges the simulated latency and picks the id
 // snapshot: an index lookup for a pushed equality filter when the
 // table has one, every id otherwise.
@@ -110,7 +46,7 @@ func (s *ERPSource) openTableStream(ctx context.Context, filters []Filter) (*tab
 	}
 	st := &tableStream{
 		ctx: ctx, table: s.table, def: s.table.Def(),
-		cols: ColumnNames(s.table.Def()), filters: filters, ids: ids, remain: -1,
+		cols: s.table.Def().ColumnNames(), filters: filters, ids: ids, remain: -1,
 	}
 	st.visit = st.visitRow
 	return st, nil

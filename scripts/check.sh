@@ -33,9 +33,11 @@
 #                                admitted p99 in SLO, no tenant
 #                                starved, shed-free recovery
 #   6. go test -race ./...       full tests under the race detector
-#   6b. perfbench unit tests     the benchmark harness is its own module
-#                                (outside ./...): its quantile, oracle
-#                                and write-model tests run here
+#   6b. perfbench vet + tests    the benchmark harness is its own module
+#                                (outside ./...), compiled against the
+#                                engine's API: go vet checks it, and its
+#                                quantile, oracle and write-model tests
+#                                run here
 #   7. go test -fuzz ... 10s     fuzz smoke: parser, stream decoder
 #                                (NDJSON and binary frames), binary row
 #                                codec, WAL replay, the pushdown split
@@ -80,8 +82,8 @@ go run ./cmd/coherachaos -overload -seed 42
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> perfbench unit tests"
-(cd perfbench && go test .)
+echo "==> perfbench vet and unit tests"
+(cd perfbench && go vet . && go test .)
 
 echo "==> fuzz smoke (10s per target)"
 go test -fuzz 'FuzzParse$' -fuzztime 10s ./internal/sqlparse/
